@@ -429,7 +429,7 @@ def chi2_double_bound(f: SymKernel) -> float:
         max(raw_norm_sq(f.space, contract(f, f, 1)), 0.0)
     )
     h = symmetrize(f.space, contract(f, f, 0))
-    if not h.coeffs:
+    if not h.to_dense().any():
         expectation = 4.0
     else:
         hvec = ChaosVector.single(h)

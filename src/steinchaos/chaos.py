@@ -29,6 +29,7 @@ from .tensors import (
     SymKernel,
     contract,
     gram_inner,
+    sorted_coeffs,
     symmetrize,
 )
 
@@ -108,7 +109,7 @@ class ChaosVector:
         if kernels:
             values = kernels.values() if isinstance(kernels, dict) else kernels
             for k in values:
-                if k.coeffs:
+                if k.to_dense().any():
                     items.append(k)
         items.sort(key=lambda k: k.order)
         return cls(space, float(constant), tuple(items))
@@ -157,17 +158,14 @@ class ChaosVector:
 
     # ------------------------------------------------------------------
 
-    def _orthonormal_kernel(self, kernel: SymKernel) -> SymKernel:
+    def _orthonormal_coeffs(self, kernel: SymKernel) -> dict[tuple[int, ...], float]:
         """Coefficients of the kernel in the Cholesky-orthonormalized frame."""
-        if self.space.is_identity:
-            return kernel
-        L = self.space.cholesky()
         arr = kernel.to_dense()
-        q = kernel.order
-        for _ in range(q):
-            arr = np.tensordot(arr, L, axes=([0], [0]))
-        iid_space = GramSpace.standard(self.space.dim)
-        return SymKernel.from_dense(iid_space, arr)
+        if not self.space.is_identity:
+            L = self.space.cholesky()
+            for _ in range(kernel.order):
+                arr = np.tensordot(arr, L, axes=([0], [0]))
+        return sorted_coeffs(arr)
 
     def eval(self, xi: np.ndarray) -> float | np.ndarray:
         """Pathwise value at standard-normal coordinates of the orthonormal frame."""
@@ -181,8 +179,7 @@ class ChaosVector:
             )
         total = np.full(pts.shape[0], self.constant)
         for kernel in self.terms:
-            ortho = self._orthonormal_kernel(kernel)
-            for index, coeff in ortho.coeffs.items():
+            for index, coeff in self._orthonormal_coeffs(kernel).items():
                 factor = np.full(pts.shape[0], coeff)
                 for var, group in itertools.groupby(index):
                     mult = sum(1 for _ in group)
@@ -195,8 +192,7 @@ class ChaosVector:
         d = self.space.dim
         poly = wick.poly_const(d, self.constant)
         for kernel in self.terms:
-            ortho = self._orthonormal_kernel(kernel)
-            for index, coeff in ortho.coeffs.items():
+            for index, coeff in self._orthonormal_coeffs(kernel).items():
                 term = wick.poly_const(d, coeff)
                 for var, group in itertools.groupby(index):
                     mult = sum(1 for _ in group)

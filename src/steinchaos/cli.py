@@ -225,8 +225,7 @@ _COMMANDS = {
 }
 
 
-def run(config: dict, out_dir: Path, seed_override: int | None = None,
-        threads: int | None = None) -> dict:
+def run(config: dict, out_dir: Path, seed_override: int | None = None) -> dict:
     """Execute one validated config; returns the manifest dictionary."""
     if not isinstance(config, dict) or "command" not in config:
         raise ConfigError("config must be an object with a 'command' field")
@@ -236,14 +235,13 @@ def run(config: dict, out_dir: Path, seed_override: int | None = None,
     params = dict(config.get("parameters", {}))
     if seed_override is not None:
         params["seed"] = int(seed_override)
-    started = time.time()
+    started = time.perf_counter()
     result = _COMMANDS[command](params, out_dir)
     manifest = {
         "command": command,
         "config": {"command": command, "parameters": params},
         "version": __version__,
-        "threads": threads,
-        "elapsed_seconds": time.time() - started,
+        "elapsed_seconds": time.perf_counter() - started,
         "result": result,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float))
@@ -258,10 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the run config JSON")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="advisory worker count; results never depend on it",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -283,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
     try:
-        manifest = run(config, out_dir, seed_override=args.seed, threads=args.threads)
+        manifest = run(config, out_dir, seed_override=args.seed)
     except ConfigError as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

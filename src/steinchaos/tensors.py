@@ -5,12 +5,14 @@ R^d equipped with an explicit positive semidefinite matrix G, so that
 <e_i, e_j> = G[i, j].  Orthonormal models (G = I) and correlated models
 (e.g. fractional-Brownian increment grids) share one code path.
 
-Symmetric order-q tensors are stored sparsely as a map from the sorted
-multi-index (i_1 <= ... <= i_q) to the coefficient of the *symmetrized*
-basis tensor: if T is the full tensor, the stored value for the sorted
-index J equals the sum of T over all distinct orderings of J.  Dense
-expansion happens only inside contraction kernels, which keeps storage
-polynomial while orders stay small (q <= ~6).
+A symmetric order-q tensor is stored as its full dense array of shape
+(d,) * q, and contractions, symmetrization and arithmetic work on that array
+directly.  The sorted-multi-index form is derived from it on demand
+(``sorted_coeffs``): for each sorted multi-index J = (i_1 <= ... <= i_q) the
+coefficient of the *symmetrized* basis tensor, which is the sum of the array
+over all distinct orderings of J.  That form is the JSON exchange format and
+drives Hermite evaluation; the dict constructor of ``SymKernel`` reads it.
+Dense storage costs d^q floats, which stays small while orders do (q <= ~6).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "SymKernel",
     "tensor_power",
     "symmetrize",
+    "sorted_coeffs",
     "contract",
     "gram_inner",
     "raw_norm_sq",
@@ -41,6 +44,9 @@ __all__ = [
 # 1e-12 (scaled by the largest diagonal entry).
 PSD_RTOL = 1e-10
 MAX_JITTER = 1e-12
+# SymKernel.from_dense tolerates asymmetry up to this fraction of the
+# largest entry (rounding in the caller's arithmetic), and no more.
+SYMMETRY_RTOL = 1e-12
 
 
 class TensorError(Exception):
@@ -72,28 +78,20 @@ def multiindex_multiplicity(index: tuple[int, ...]) -> int:
     return count
 
 
-def distinct_permutations(index: tuple[int, ...]):
-    """Yield the distinct orderings of a multi-index (no q! blowup)."""
-    pool = sorted(index)
-    q = len(pool)
-    out: list[int] = []
+def sorted_coeffs(dense: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Sorted-multi-index form of a symmetric array, in lexicographic order.
 
-    def rec():
-        if len(out) == q:
-            yield tuple(out)
-            return
-        prev = None
-        for i, v in enumerate(pool):
-            if v is None or v == prev:
-                continue
-            prev = v
-            pool[i] = None
-            out.append(v)
-            yield from rec()
-            out.pop()
-            pool[i] = v
-
-    yield from rec()
+    Maps each sorted multi-index J with a nonzero entry to that entry times
+    the number of distinct orderings of J; zeros are dropped.
+    """
+    arr = np.asarray(dense)
+    out: dict[tuple[int, ...], float] = {}
+    dim = arr.shape[0] if arr.ndim else 0
+    for index in itertools.combinations_with_replacement(range(dim), arr.ndim):
+        v = float(arr[index])
+        if v != 0.0:
+            out[index] = v * multiindex_multiplicity(index)
+    return out
 
 
 class GramSpace:
@@ -167,28 +165,27 @@ def _check_same_space(f: "SymKernel", g: "SymKernel") -> None:
 
 
 class SymKernel:
-    """Symmetric order-q tensor over a GramSpace.
+    """Symmetric order-q tensor over a GramSpace, stored as its dense array.
 
-    ``coeffs[J]`` is the coefficient of the symmetrized basis tensor for the
-    sorted multi-index J; equivalently the sum of the full tensor over all
-    distinct orderings of J.  Values are immutable after construction.
+    ``to_dense()`` is the read-only array of shape (d,) * q (0-d for
+    q = 0) and the only stored state.  ``coeffs`` is derived from it on
+    demand by ``sorted_coeffs``, the form that JSON, Hermite evaluation and
+    tests use; no bound, contraction or symmetrization reads it.
+
+    ``SymKernel(space, q, coeffs)`` is the checked entry point for outside
+    input in that sorted form: ``coeffs[J]`` is the coefficient of the
+    symmetrized basis tensor of the sorted multi-index J, and each of the
+    distinct orderings of J receives ``coeffs[J] / multiplicity(J)``.
     """
 
-    __slots__ = ("space", "order", "coeffs", "_dense")
+    __slots__ = ("space", "order", "_dense")
 
     def __init__(
-        self,
-        space: GramSpace,
-        order: int,
-        coeffs: Mapping[tuple[int, ...], float],
-        *,
-        drop_zeros: bool = True,
+        self, space: GramSpace, order: int, coeffs: Mapping[tuple[int, ...], float]
     ):
         if order < 0:
             raise InvalidOrderError(f"order must be >= 0, got {order}")
-        self.space = space
-        self.order = int(order)
-        cleaned: dict[tuple[int, ...], float] = {}
+        arr = np.zeros((space.dim,) * order)
         for index, value in coeffs.items():
             idx = tuple(int(i) for i in index)
             if len(idx) != order:
@@ -197,11 +194,23 @@ class SymKernel:
                 raise TensorError(f"multi-index {idx} out of range [0, {space.dim})")
             if tuple(sorted(idx)) != idx:
                 raise TensorError(f"multi-index {idx} is not sorted")
-            v = float(value)
-            if v != 0.0 or not drop_zeros:
-                cleaned[idx] = v
-        self.coeffs = cleaned
-        self._dense: np.ndarray | None = None
+            entry = float(value) / multiindex_multiplicity(idx)
+            for perm in set(itertools.permutations(idx)):
+                arr[perm] = entry
+        self._set(space, arr)
+
+    def _set(self, space: GramSpace, arr: np.ndarray) -> None:
+        self.space = space
+        self.order = arr.ndim
+        self._dense = np.asarray(arr)  # order 0 arithmetic yields numpy scalars
+        self._dense.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, space: GramSpace, arr: np.ndarray) -> "SymKernel":
+        """Kernel owning `arr`: symmetric up to rounding, referenced nowhere else."""
+        kernel = cls.__new__(cls)
+        kernel._set(space, arr)
+        return kernel
 
     # ------------------------------------------------------------------
     # constructors
@@ -212,24 +221,21 @@ class SymKernel:
         return cls(space, order, {})
 
     @classmethod
-    def scalar(cls, space: GramSpace, value: float) -> "SymKernel":
-        return cls(space, 0, {(): float(value)}, drop_zeros=False)
-
-    @classmethod
     def from_dense(cls, space: GramSpace, dense: np.ndarray) -> "SymKernel":
-        """Build from an already-symmetric dense array of shape (d,) * q."""
-        arr = np.asarray(dense, dtype=float)
-        if arr.ndim == 0:
-            return cls.scalar(space, float(arr))
+        """Build from a symmetric dense array of shape (d,) * q (copied).
+
+        Raises TensorError if swapping any two axes moves an entry by more
+        than SYMMETRY_RTOL times the largest entry.
+        """
+        arr = np.array(dense, dtype=float)
         if any(s != space.dim for s in arr.shape):
             raise TensorError(f"dense shape {arr.shape} incompatible with dim {space.dim}")
-        q = arr.ndim
-        coeffs: dict[tuple[int, ...], float] = {}
-        for index in itertools.combinations_with_replacement(range(space.dim), q):
-            v = float(arr[index])
-            if v != 0.0:
-                coeffs[index] = v * multiindex_multiplicity(index)
-        return cls(space, q, coeffs)
+        if arr.ndim > 1:
+            tol = SYMMETRY_RTOL * float(np.abs(arr).max())
+            for axis in range(arr.ndim - 1):
+                if float(np.abs(arr - np.swapaxes(arr, axis, axis + 1)).max()) > tol:
+                    raise TensorError("dense array is not symmetric")
+        return cls._wrap(space, arr)
 
     # ------------------------------------------------------------------
     # views
@@ -237,18 +243,12 @@ class SymKernel:
 
     def to_dense(self) -> np.ndarray:
         """Full tensor of shape (d,) * order (scalar array for order 0)."""
-        if self._dense is None:
-            if self.order == 0:
-                self._dense = np.array(self.coeffs.get((), 0.0))
-            else:
-                arr = np.zeros((self.space.dim,) * self.order)
-                for index, value in self.coeffs.items():
-                    entry = value / multiindex_multiplicity(index)
-                    for perm in distinct_permutations(index):
-                        arr[perm] = entry
-                self._dense = arr
-            self._dense.setflags(write=False)
         return self._dense
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], float]:
+        """Sorted-multi-index coefficients, derived by ``sorted_coeffs``."""
+        return sorted_coeffs(self._dense)
 
     def norm(self) -> float:
         return math.sqrt(max(gram_inner(self, self), 0.0))
@@ -257,31 +257,25 @@ class SymKernel:
     # linear structure
     # ------------------------------------------------------------------
 
-    def _binary(self, other: "SymKernel", sign: float) -> "SymKernel":
+    def _binary(self, other: "SymKernel", op) -> "SymKernel":
         _check_same_space(self, other)
         if self.order != other.order:
             raise OrderMismatchError("cannot add kernels of different orders")
-        merged = dict(self.coeffs)
-        for index, value in other.coeffs.items():
-            merged[index] = merged.get(index, 0.0) + sign * value
-        return SymKernel(self.space, self.order, merged)
+        return SymKernel._wrap(self.space, op(self._dense, other._dense))
 
     def __add__(self, other: "SymKernel") -> "SymKernel":
-        return self._binary(other, 1.0)
+        return self._binary(other, np.add)
 
     def __sub__(self, other: "SymKernel") -> "SymKernel":
-        return self._binary(other, -1.0)
+        return self._binary(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SymKernel":
-        s = float(scalar)
-        return SymKernel(
-            self.space, self.order, {k: s * v for k, v in self.coeffs.items()}
-        )
+        return SymKernel._wrap(self.space, float(scalar) * self._dense)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymKernel(order={self.order}, nnz={len(self.coeffs)})"
+        return f"SymKernel(order={self.order}, dim={self.space.dim})"
 
     # ------------------------------------------------------------------
     # serialization
@@ -291,7 +285,7 @@ class SymKernel:
         return {
             "dim": self.space.dim,
             "order": self.order,
-            "entries": [[list(k), v] for k, v in sorted(self.coeffs.items())],
+            "entries": [[list(k), v] for k, v in self.coeffs.items()],
             "gram": self.space.gram.tolist(),
         }
 
@@ -318,22 +312,16 @@ class SymKernel:
 
 
 def tensor_power(space: GramSpace, h: np.ndarray, q: int) -> SymKernel:
-    """q-fold tensor power h ⊗ ... ⊗ h; symmetric by construction."""
+    """q-fold tensor power h ⊗ ... ⊗ h; symmetric up to rounding."""
     if q < 0:
         raise InvalidOrderError(f"tensor power needs q >= 0, got {q}")
     vec = np.asarray(h, dtype=float)
     if vec.shape != (space.dim,):
         raise TensorError(f"vector shape {vec.shape} incompatible with dim {space.dim}")
-    if q == 0:
-        return SymKernel.scalar(space, 1.0)
-    support = [i for i in range(space.dim) if vec[i] != 0.0]
-    coeffs: dict[tuple[int, ...], float] = {}
-    for index in itertools.combinations_with_replacement(support, q):
-        prod = 1.0
-        for i in index:
-            prod *= vec[i]
-        coeffs[index] = prod * multiindex_multiplicity(index)
-    return SymKernel(space, q, coeffs)
+    arr = np.array(1.0)
+    for _ in range(q):
+        arr = np.multiply.outer(arr, vec)
+    return SymKernel._wrap(space, arr)
 
 
 def symmetrize(space: GramSpace, raw: np.ndarray) -> SymKernel:
@@ -343,17 +331,13 @@ def symmetrize(space: GramSpace, raw: np.ndarray) -> SymKernel:
     first k-1 axes are symmetric, averaging the k-th axis into each position
     finishes the job in O(q^2) transposes instead of q!.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        return SymKernel.scalar(space, float(arr))
-    q = arr.ndim
-    sym = arr
-    for k in range(2, q + 1):
+    sym = np.array(raw, dtype=float)
+    for k in range(2, sym.ndim + 1):
         acc = sym.copy()
         for i in range(k - 1):
             acc += np.swapaxes(sym, i, k - 1)
         sym = acc / k
-    return SymKernel.from_dense(space, sym)
+    return SymKernel._wrap(space, sym)
 
 
 def _apply_gram(space: GramSpace, arr: np.ndarray, naxes: int) -> np.ndarray:
@@ -399,8 +383,6 @@ def gram_inner(f: SymKernel, g: SymKernel) -> float:
         raise OrderMismatchError(
             f"inner product needs equal orders, got {f.order} and {g.order}"
         )
-    if f.order == 0:
-        return f.coeffs.get((), 0.0) * g.coeffs.get((), 0.0)
     return float(contract(f, g, f.order))
 
 

@@ -13,8 +13,6 @@ so plain dict convolution is fast enough.
 
 from __future__ import annotations
 
-import numpy as np
-
 Poly = dict  # exponent tuple -> coefficient
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "poly_mul",
     "poly_pow",
     "poly_diff",
-    "poly_degree",
-    "poly_eval",
     "monic_hermite_coeffs",
     "monic_hermite_poly",
     "gaussian_monomial_moment",
@@ -87,26 +83,6 @@ def poly_diff(p: Poly, axis: int) -> Poly:
     return out
 
 
-def poly_degree(p: Poly) -> int:
-    return max((sum(m) for m in p), default=0)
-
-
-def poly_eval(p: Poly, x: np.ndarray) -> np.ndarray | float:
-    """Evaluate at points x of shape (d,) or (N, d)."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    total = np.zeros(pts.shape[0])
-    for mono, coef in p.items():
-        term = np.full(pts.shape[0], coef)
-        for axis, k in enumerate(mono):
-            if k:
-                term = term * pts[:, axis] ** k
-        total += term
-    return float(total[0]) if single else total
-
-
 def monic_hermite_coeffs(q: int) -> list[float]:
     """Coefficients (by power) of the monic Hermite polynomial He_q."""
     if q < 0:
@@ -144,53 +120,20 @@ def _double_factorial(k: int) -> float:
     return out
 
 
-def gaussian_monomial_moment(
-    exponents: tuple[int, ...], cov: np.ndarray | None = None
-) -> float:
-    """E[prod_i x_i^{k_i}] for a centered Gaussian vector with covariance cov.
-
-    cov = None means the identity, where the expectation factorizes into
-    double factorials.  General covariances are handled by the Isserlis
-    pairing recursion, memoized on the multiset of remaining indices.
-    """
-    if cov is None:
-        out = 1.0
-        for k in exponents:
-            if k % 2 == 1:
-                return 0.0
-            out *= _double_factorial(k - 1)
-        return out
-
-    c = np.asarray(cov, dtype=float)
-    indices: list[int] = []
-    for i, k in enumerate(exponents):
-        indices.extend([i] * int(k))
-    if len(indices) % 2 == 1:
-        return 0.0
-
-    memo: dict[tuple[int, ...], float] = {}
-
-    def rec(idx: tuple[int, ...]) -> float:
-        if not idx:
-            return 1.0
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        head, rest = idx[0], idx[1:]
-        total = 0.0
-        for j in range(len(rest)):
-            pair = c[head, rest[j]]
-            if pair != 0.0:
-                total += pair * rec(rest[:j] + rest[j + 1 :])
-        memo[idx] = total
-        return total
-
-    return rec(tuple(sorted(indices)))
+def gaussian_monomial_moment(exponents: tuple[int, ...]) -> float:
+    """E[prod_i x_i^{k_i}] for a standard Gaussian vector, where the
+    expectation factorizes into double factorials."""
+    out = 1.0
+    for k in exponents:
+        if k % 2 == 1:
+            return 0.0
+        out *= _double_factorial(k - 1)
+    return out
 
 
-def poly_gaussian_expectation(p: Poly, cov: np.ndarray | None = None) -> float:
-    """E[p(X)] for X centered Gaussian (identity covariance if cov is None)."""
+def poly_gaussian_expectation(p: Poly) -> float:
+    """E[p(X)] for X a standard Gaussian vector."""
     total = 0.0
     for mono, coef in p.items():
-        total += coef * gaussian_monomial_moment(mono, cov)
+        total += coef * gaussian_monomial_moment(mono)
     return total

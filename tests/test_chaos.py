@@ -137,18 +137,6 @@ def test_exact_moment_matches_monte_carlo(plane):
     assert np.mean(vals**2) == pytest.approx(m2, abs=4 * np.std(vals**2) / np.sqrt(len(vals)))
 
 
-def test_isserlis_recursion_matches_independent():
-    exps = (2, 4, 0)
-    assert wick.gaussian_monomial_moment(exps, np.eye(3)) == pytest.approx(
-        wick.gaussian_monomial_moment(exps)
-    )
-    cov = np.array([[1.0, 0.5], [0.5, 2.0]])
-    # E[x^2 y^2] = v1 v2 + 2 c^2
-    assert wick.gaussian_monomial_moment((2, 2), cov) == pytest.approx(
-        1.0 * 2.0 + 2 * 0.25
-    )
-
-
 # ----------------------------------------------------------------------
 # multiplication
 # ----------------------------------------------------------------------

@@ -242,3 +242,16 @@ def test_kernel_arithmetic(plane):
     s = f + 2.0 * g
     assert s.coeffs == {(0, 0): 1.0, (1, 1): 2.0}
     assert (s - s).coeffs == {}
+
+
+def test_from_dense_rejects_asymmetric(plane):
+    upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for arr in (upper, upper.T):
+        with pytest.raises(TensorError):
+            SymKernel.from_dense(plane, arr)
+    cube = np.zeros((2, 2, 2))
+    cube[0, 0, 1] = cube[0, 1, 0] = 1.0  # (1, 0, 0) missing
+    with pytest.raises(TensorError):
+        SymKernel.from_dense(plane, cube)
+    nearly = np.array([[2.0, 1.0], [1.0 + 1e-15, 0.0]])  # rounding-level
+    assert np.array_equal(SymKernel.from_dense(plane, nearly).to_dense(), nearly)
