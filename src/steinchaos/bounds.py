@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .chaos import ChaosVector, derivative_norm_sq
 from .tensors import (
@@ -185,6 +186,34 @@ def _self_contraction_norms(f: SymKernel) -> list[float]:
     ]
 
 
+def _cross_contraction_terms(
+    orders: list[int],
+    norms: list[list[float]],
+    prefactor: float,
+    skip_diagonal: Callable[[int, int], bool],
+    per_r: dict[int, float],
+) -> None:
+    """Add prefactor q_i^2 (r-1)!^2 binom(q_i-1, r-1)^2 binom(q_j-1, r-1)^2
+    (q_i+q_j-2r)! ||f_i x_{q_i-r} f_i|| ||f_j x_{q_j-r} f_j|| into per_r[r]
+    for every (i, j, r) with 1 <= r <= q_i ^ q_j, except the diagonal
+    i = j terms where skip_diagonal(q_i, r) holds.
+    """
+    for i, qi in enumerate(orders):
+        for j, qj in enumerate(orders):
+            for r in range(1, min(qi, qj) + 1):
+                if i == j and skip_diagonal(qi, r):
+                    continue
+                coeff = (
+                    qi**2
+                    * math.factorial(r - 1) ** 2
+                    * math.comb(qi - 1, r - 1) ** 2
+                    * math.comb(qj - 1, r - 1) ** 2
+                    * math.factorial(qi + qj - 2 * r)
+                )
+                value = prefactor * coeff * norms[i][qi - r] * norms[j][qj - r]
+                per_r[r] = per_r.get(r, 0.0) + value
+
+
 def gauss_bound_sum(
     kernels: list[SymKernel], metric: str = "kolmogorov"
 ) -> BoundReport:
@@ -222,21 +251,9 @@ def gauss_bound_sum(
 
     norms = [_self_contraction_norms(k) for k in kernels]
     per_r: dict[int, float] = {}
-    for i in range(s):
-        for j in range(s):
-            qi, qj = orders[i], orders[j]
-            for r in range(1, min(qi, qj) + 1):
-                if r == qi and qj == qi:
-                    continue
-                coeff = (
-                    qi**2
-                    * math.factorial(r - 1) ** 2
-                    * math.comb(qi - 1, r - 1) ** 2
-                    * math.comb(qj - 1, r - 1) ** 2
-                    * math.factorial(qi + qj - 2 * r)
-                )
-                value = 2.0 * s**2 * coeff * norms[i][qi - r] * norms[j][qj - r]
-                per_r[r] = per_r.get(r, 0.0) + value
+    _cross_contraction_terms(
+        orders, norms, 2.0 * s**2, lambda q, r: r == q, per_r
+    )
     terms = sorted(per_r.items())
     constant = GAUSS_METRIC_CONSTANTS[metric]
     return _assemble(metric, constant, variance, terms)
@@ -396,21 +413,9 @@ def gamma_bound_sum(
         per_r[q // 2] = per_r.get(q // 2, 0.0) + value
 
     norms = [_self_contraction_norms(k) for k in kernels]
-    for i in range(2):
-        for j in range(2):
-            qi, qj = orders[i], orders[j]
-            for r in range(1, min(qi, qj) + 1):
-                if i == j and (r == qi or 2 * r == qi):
-                    continue
-                coeff = (
-                    qi**2
-                    * math.factorial(r - 1) ** 2
-                    * math.comb(qi - 1, r - 1) ** 2
-                    * math.comb(qj - 1, r - 1) ** 2
-                    * math.factorial(qi + qj - 2 * r)
-                )
-                value = 12.0 * coeff * norms[i][qi - r] * norms[j][qj - r]
-                per_r[r] = per_r.get(r, 0.0) + value
+    _cross_contraction_terms(
+        orders, norms, 12.0, lambda q, r: r == q or 2 * r == q, per_r
+    )
     terms = sorted(per_r.items())
     return _assemble(metric, constant, variance, terms)
 

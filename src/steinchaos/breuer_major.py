@@ -200,10 +200,12 @@ def _contraction_norms_general(
             sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_{m-a}[k,j]
                        P_{m-a}[l,i] P_a[l,j],
 
-    where m = q - r.  Each inner sum contracts in O(n^3).
+    where m = q - r.  The a = 0 and a = m sums are four-cycles and contract
+    in O(n^3); each of the m - 1 sums with 0 < a < m is a complete graph on
+    the four indices and costs O(n^4).
     """
     q, n = inst.q, inst.n
-    est_ops = (q - 1) * (q + 1) * n**3
+    est_ops = 2 * (q - 1) * n**3 + (q - 1) * (q - 2) // 2 * n**4
     if est_ops > op_budget:
         raise ResourceGuardError(
             f"four-index sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}; "
@@ -281,19 +283,12 @@ def bm_rate(H: float, q: int) -> tuple[float, str]:
     return q - q * H - 0.5, "n^(qH-q+1/2)"
 
 
-def bm_table(
-    H: float,
-    q: int,
-    ns: list[int],
-    *,
-    method: str = "auto",
-    op_budget: int = DEFAULT_OP_BUDGET,
-) -> list[dict]:
+def bm_table(H: float, q: int, ns: list[int]) -> list[dict]:
     """Deterministic rows (one per n) for rate-regression experiments."""
     exponent, regime = bm_rate(H, q)
     rows = []
     for n in ns:
-        report = bm_bound_exact(BmInstance(H, q, n), method=method, op_budget=op_budget)
+        report = bm_bound_exact(BmInstance(H, q, n))
         rows.append(
             {
                 "H": H,

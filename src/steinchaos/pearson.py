@@ -23,11 +23,11 @@ Pearson family.
 
 Numerics: expectations are QUADPACK integrals of the unnormalized weight
 exp(-I(x))/tau(x); I(x) is in closed form for quadratic tau and an adaptive
-integral otherwise; finite endpoints where tau vanishes linearly get the
-power substitution x = endpoint +/- u^2 so the integrable singularity of
-the weight disappears.  The solution is evaluated from the left integral
-below the origin and from the right integral above it, keeping the ratio
-stable deep in the tails.
+integral otherwise; every finite endpoint gets the power substitution
+x = endpoint +/- u^2, so the integrable singularity of the weight where tau
+vanishes linearly disappears.  The solution is evaluated from the left
+integral below the origin and from the right integral above it, keeping the
+ratio stable deep in the tails.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ class PearsonSpec:
         x = np.asarray(x, dtype=float)
         out = np.where((x > self.a) & (x < self.b), self.quadratic(x), 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def tau_prime(self, x: float) -> float:
-        return 2.0 * self.alpha * x + self.beta
 
     def exponent_integral(self, x):
         """I(x) = int_0^x y / tau(y) dy in closed form, for x in (a, b)."""
@@ -230,8 +227,6 @@ class DensityModel:
         b: float,
         unnormalized: Callable[[float], float],
         *,
-        singular_left: bool = False,
-        singular_right: bool = False,
         tau: Callable[[float], float] | None = None,
     ):
         if not a < 0.0 < b:
@@ -239,8 +234,6 @@ class DensityModel:
         self.a = float(a)
         self.b = float(b)
         self._weight = unnormalized
-        self._singular_left = singular_left and math.isfinite(a)
-        self._singular_right = singular_right and math.isfinite(b)
         self.tau = tau
         self.normalization = self._integrate_weight(lambda x: 1.0)
         if not (math.isfinite(self.normalization) and self.normalization > 0.0):
@@ -280,30 +273,27 @@ class DensityModel:
         return value
 
     def _panel(self, fn, lo, hi):
-        """Integral of fn * weight over [lo, hi], de-singularized endpoints."""
+        """Integral of fn * weight over [lo, hi].
+
+        A panel that touches a finite endpoint e is integrated in u with
+        x = e + sign u^2 (sign pointing into the support).
+        """
         if lo >= hi:
             return 0.0
-        if self._singular_left and lo <= self.a + 1e-300:
-            width = hi - self.a
+        if math.isfinite(self.a) and lo == self.a:
+            endpoint, sign = self.a, 1.0
+        elif math.isfinite(self.b) and hi == self.b:
+            endpoint, sign = self.b, -1.0
+        else:
+            return self._quad_rel(lambda x: fn(x) * self._weight(x), lo, hi)
 
-            def sub(u):
-                x = self.a + u * u
-                if x <= self.a:  # u^2 under the float spacing at a
-                    return 0.0
-                return 2.0 * u * fn(x) * self._weight(x)
+        def sub(u):
+            x = endpoint + sign * u * u
+            if x == endpoint:  # u^2 under the float spacing at the endpoint
+                return 0.0
+            return 2.0 * u * fn(x) * self._weight(x)
 
-            return self._quad_rel(sub, 0.0, math.sqrt(width))
-        if self._singular_right and hi >= self.b - 1e-300:
-            width = self.b - lo
-
-            def sub(u):
-                x = self.b - u * u
-                if x >= self.b:
-                    return 0.0
-                return 2.0 * u * fn(x) * self._weight(x)
-
-            return self._quad_rel(sub, 0.0, math.sqrt(width))
-        return self._quad_rel(lambda x: fn(x) * self._weight(x), lo, hi)
+        return self._quad_rel(sub, 0.0, math.sqrt(hi - lo))
 
     def _integrate_weight(self, fn, lo=None, hi=None, points=()):
         lo = self.a if lo is None else max(lo, self.a)
@@ -315,14 +305,7 @@ class DensityModel:
 
     @classmethod
     def from_pdf(
-        cls,
-        pdf: Callable[[float], float],
-        a: float,
-        b: float,
-        *,
-        singular_left: bool = False,
-        singular_right: bool = False,
-        tau: Callable[[float], float] | None = None,
+        cls, pdf: Callable[[float], float], a: float, b: float
     ) -> "DensityModel":
         """Wrap an already-normalized centered density on (a, b).
 
@@ -333,10 +316,7 @@ class DensityModel:
         vals = np.array([pdf(float(x)) for x in grid])
         if np.any(vals <= 0.0):
             raise SupportError("density must be strictly positive inside (a, b)")
-        model = cls(
-            a, b, pdf,
-            singular_left=singular_left, singular_right=singular_right, tau=tau,
-        )
+        model = cls(a, b, pdf)
         if abs(model.normalization - 1.0) > 1e-8:
             raise PearsonError(
                 f"density integrates to {model.normalization:.10f}, not 1"
@@ -361,28 +341,6 @@ class DensityModel:
     def moment(self, k: int) -> float:
         return self.integrate(lambda x: x**k)
 
-    def cdf(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return self.integrate(lambda _: 1.0, hi=x)
-
-    def upper_tail_first_moment(self, x: float) -> float:
-        """int_x^b y p(y) dy (zero outside the support).
-
-        For x <= 0 this equals -int_a^x y p dy by centering; that side is
-        evaluated from the left, where the integrand keeps one sign, so the
-        tiny tail values never come out of a cancellation.
-        """
-        if x >= self.b:
-            return 0.0
-        if x <= self.a:
-            return 0.0
-        if x <= 0.0:
-            return -self.integrate(lambda y: y, hi=x)
-        return self.integrate(lambda y: y, lo=x)
-
     def effective_range(self) -> tuple[float, float]:
         """Interval outside which the density drops below ~1e-16."""
         lo, hi = self.a, self.b
@@ -403,14 +361,7 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
     def weight(x: float) -> float:
         return math.exp(-spec.exponent_integral(x)) / spec.quadratic(x)
 
-    return DensityModel(
-        spec.a,
-        spec.b,
-        weight,
-        singular_left=math.isfinite(spec.a),
-        singular_right=math.isfinite(spec.b),
-        tau=spec.tau,
-    )
+    return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
 
 
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
@@ -446,12 +397,7 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
         return math.exp(-inner(x)) / tau_fn(x)
 
     return DensityModel(
-        a,
-        b,
-        weight,
-        singular_left=math.isfinite(a),
-        singular_right=math.isfinite(b),
-        tau=lambda x: tau_fn(x) if a < x < b else 0.0,
+        a, b, weight, tau=lambda x: tau_fn(x) if a < x < b else 0.0
     )
 
 
@@ -473,8 +419,19 @@ def density_from_tau(
     return _callable_density(spec_or_tau, float(a), float(b))
 
 
+def _as_density(spec_or_density: PearsonSpec | DensityModel) -> DensityModel:
+    if isinstance(spec_or_density, PearsonSpec):
+        return density_from_tau(spec_or_density)
+    return spec_or_density
+
+
 def tau_from_density(density: DensityModel) -> Callable[[float], float]:
-    """tau(x) = (int_x^b y p dy) / p(x) on (a, b), 0 outside."""
+    """tau(x) = (int_x^b y p dy) / p(x) on (a, b), 0 outside.
+
+    For x <= 0 the numerator equals -int_a^x y p dy by centering; that side
+    is evaluated from the left, where the integrand keeps one sign, so the
+    tiny tail values never come out of a cancellation.
+    """
 
     def tau(x: float) -> float:
         if not density.a < x < density.b:
@@ -485,7 +442,9 @@ def tau_from_density(density: DensityModel) -> Callable[[float], float]:
             # an exact zero here means the tail underflowed, i.e. x is
             # beyond the numerically representable support
             return 0.0
-        return density.upper_tail_first_moment(x) / p
+        if x <= 0.0:
+            return -density.integrate(lambda y: y, hi=x) / p
+        return density.integrate(lambda y: y, lo=x) / p
 
     return tau
 
@@ -554,16 +513,7 @@ class SteinSolution:
             if x == 0.0:
                 raise PearsonError("the tail formula (h - E h)/x needs x != 0")
             return self._centered(x) / x
-        denom = self.density.tau(x) * self.density.pdf(x)
-        if x <= 0.0:
-            num = self.density.integrate(
-                self._centered, hi=x, points=self.discontinuities
-            )
-        else:
-            num = -self.density.integrate(
-                self._centered, lo=x, points=self.discontinuities
-            )
-        return num / denom
+        return float(self.on_grid(np.array([x]))[0][0])
 
     def u_prime(self, x: float, u_value: float | None = None) -> float:
         """u'(x) inside (a, b) through the equation itself."""
@@ -624,12 +574,7 @@ def stein_solve(
     discontinuities: Sequence[float] = (),
 ) -> SteinSolution:
     """Solve tau u' - x u = h - E(h) for bounded piecewise-continuous h."""
-    density = (
-        density_from_tau(spec_or_density)
-        if isinstance(spec_or_density, PearsonSpec)
-        else spec_or_density
-    )
-    return SteinSolution(density, h, discontinuities)
+    return SteinSolution(_as_density(spec_or_density), h, discontinuities)
 
 
 class SteinBoundCheck(NamedTuple):
@@ -688,11 +633,7 @@ def char_residual(
     fprime: Callable[[float], float] | None = None,
 ) -> float:
     """E[tau(Z) f'(Z) - Z f(Z)]; zero exactly when Z has the tau-density."""
-    density = (
-        density_from_tau(spec_or_density)
-        if isinstance(spec_or_density, PearsonSpec)
-        else spec_or_density
-    )
+    density = _as_density(spec_or_density)
     if density.tau is None:
         raise PearsonError("the density model must carry its tau")
     if fprime is None:

@@ -9,8 +9,8 @@ The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
 the n x n Toeplitz covariance or, for long vectors, through circulant
 embedding of size 2n (exact in distribution whenever the embedding
-eigenvalues are nonnegative; otherwise we silently fall back to Cholesky
-and record the fallback in the batch metadata).
+eigenvalues are nonnegative; otherwise it falls back to Cholesky and
+records the fallback in SampleBatch.meta["circulant_fallback"]).
 """
 
 from __future__ import annotations

@@ -153,6 +153,13 @@ def test_bm_resource_guard():
         bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=1000)
 
 
+def test_bm_resource_guard_counts_complete_graph_sums():
+    # at q = 3 the r = 1, a = 1 sum is a complete graph on four indices: n^4
+    with pytest.raises(ResourceGuardError):
+        bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=64**4)
+    bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=64**4)
+
+
 def test_quadratic_variant_normalization():
     # sigma_H = 2 sigma and (x^2-1) = 2 H_2(x): the two Z_n forms coincide
     H = 0.62

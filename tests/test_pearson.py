@@ -95,6 +95,15 @@ def test_from_pdf_validations():
         DensityModel.from_pdf(lambda x: 2 * normal_pdf(x), -math.inf, math.inf)
 
 
+def test_from_pdf_finite_support():
+    # both endpoints are finite, so every panel touching them is substituted
+    d = DensityModel.from_pdf(lambda x: 0.5, -1.0, 1.0)
+    assert d.normalization == pytest.approx(1.0, abs=1e-8)
+    tau = tau_from_density(d)
+    for x in (-0.99, -0.6, 0.0, 0.3, 0.95):
+        assert tau(x) == pytest.approx((1 - x * x) / 2, abs=1e-8)
+
+
 # ----------------------------------------------------------------------
 # tau from a density and back
 # ----------------------------------------------------------------------
@@ -158,6 +167,24 @@ def test_gaussian_indicator_closed_form():
     for x in (-2.0, -0.5, 0.3):
         expect = ndtr(x) * (1 - ndtr(z)) / normal_pdf(x)
         assert sol.u(x) == pytest.approx(float(expect), rel=1e-8)
+
+
+def test_direct_solution_matches_cumulative_grid():
+    # u(x) integrates from the support endpoint in one go; on_grid sums
+    # panels between neighbouring grid points
+    cases = [
+        (gaussian_spec(), (-6.0, 6.0)),
+        (gamma_spec(1.0), (-0.99, 10.0)),
+        (uniform_spec(), (-0.99, 0.99)),
+    ]
+    for spec, (lo, hi) in cases:
+        d = density_from_tau(spec)
+        for h, disc in ((math.tanh, ()), (lambda x: 1.0 if x <= 0.3 else 0.0, (0.3,))):
+            sol = stein_solve(d, h, discontinuities=disc)
+            xs = np.linspace(lo, hi, 17)
+            u, _ = sol.on_grid(xs)
+            direct = [sol.u(float(x)) for x in xs]
+            assert direct == pytest.approx(u.tolist(), rel=1e-9, abs=0.0)
 
 
 def test_constant_h_gives_zero_solution():
