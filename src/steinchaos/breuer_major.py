@@ -14,10 +14,12 @@ We compute the *exact* squared quantity E[(1 - q^{-1}||DZ_n||^2)^2] (the
 equality version of the single-chaos Gaussian bound), not the chained proof
 estimates: the variance mismatch reduces to a one-dimensional weighted sum
 of rho^q, and every contraction norm reduces to stationary four-index sums
-of rho powers.  For q = 2 those sums collapse to traces of powers of the
-n x n autocovariance Toeplitz matrix, which is the fast path used for large
-n; the general-q path enumerates the four-index sums directly and is
-guarded by an operation budget.
+of rho powers.  One routine serves every q: the four-cycle sums are traces
+of products of elementwise powers of the n x n autocovariance Toeplitz
+matrix (one matrix product per r, which at q = 2 is all there is), and the
+complete-graph sums that appear from q = 3 on are contracted directly under
+an operation budget.  The explicit kernel bm_kernel, fed to the generic
+tensor bounds, is the deliberate independent oracle for these formulas.
 """
 
 from __future__ import annotations
@@ -90,20 +92,21 @@ class BmInstance:
             )
 
 
-def rho(H: float, k: int) -> float:
-    """fGn autocovariance rho_H(k); symmetric in k, rho_H(0) = 1."""
+def _rho_at(H: float, t: np.ndarray) -> np.ndarray:
+    """rho_H at nonnegative lags t (float array)."""
     if not 0.0 < H < 1.0:
         raise BreuerMajorError(f"Hurst index must lie in (0,1), got {H}")
-    t = abs(int(k))
-    return 0.5 * ((t + 1) ** (2 * H) + abs(t - 1) ** (2 * H) - 2 * t ** (2 * H))
+    return 0.5 * ((t + 1) ** (2 * H) + np.abs(t - 1) ** (2 * H) - 2 * t ** (2 * H))
+
+
+def rho(H: float, k: int) -> float:
+    """fGn autocovariance rho_H(k); symmetric in k, rho_H(0) = 1."""
+    return float(_rho_at(H, np.array([abs(int(k))], dtype=float))[0])
 
 
 def rho_values(H: float, kmax: int) -> np.ndarray:
     """Vector [rho_H(0), ..., rho_H(kmax)]."""
-    if not 0.0 < H < 1.0:
-        raise BreuerMajorError(f"Hurst index must lie in (0,1), got {H}")
-    t = np.arange(kmax + 1, dtype=float)
-    return 0.5 * ((t + 1) ** (2 * H) + np.abs(t - 1) ** (2 * H) - 2 * t ** (2 * H))
+    return _rho_at(H, np.arange(kmax + 1, dtype=float))
 
 
 def _rho_tail(H: float, q: int, horizon: int) -> float:
@@ -180,17 +183,22 @@ def _bm_second_moment(inst: BmInstance, sig: float) -> float:
     return total / (math.factorial(inst.q) * sig**2 * inst.n)
 
 
-def _contraction_norms_quadratic(inst: BmInstance, sig: float) -> list[float]:
-    """q = 2 fast path: ||f ~x_1 f||^2 = tr(R^4) / (16 sigma^4 n^2)."""
-    r_mat = toeplitz(rho_values(inst.H, inst.n - 1))
-    square = r_mat @ r_mat
-    tr4 = float(np.einsum("ij,ij->", square, square))
-    return [tr4 / (16.0 * sig**4 * inst.n**2)]
+def _check_op_budget(inst: BmInstance, op_budget: int) -> None:
+    """Refuse instances whose complete-graph sums exceed op_budget.
+
+    The estimate counts what _contraction_norms runs: (q-1) n^3 for the
+    matrix products and n^4 for each of the (q-1)(q-2)/2 complete-graph
+    sums.  q = 2 has no complete-graph sum and is never refused.
+    """
+    q, n = inst.q, inst.n
+    est_ops = (q - 1) * n**3 + (q - 1) * (q - 2) // 2 * n**4
+    if q > 2 and est_ops > op_budget:
+        raise ResourceGuardError(
+            f"four-index sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
+        )
 
 
-def _contraction_norms_general(
-    inst: BmInstance, sig: float, op_budget: int
-) -> list[float]:
+def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[float]:
     """||f ~x_r f||^2 for r = 1..q-1 by stationary four-index sums.
 
     With P_x[k, l] = rho_H(k - l)^x,
@@ -200,63 +208,36 @@ def _contraction_norms_general(
             sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_{m-a}[k,j]
                        P_{m-a}[l,i] P_a[l,j],
 
-    where m = q - r.  The a = 0 and a = m sums are four-cycles and contract
-    in O(n^3); each of the m - 1 sums with 0 < a < m is a complete graph on
-    the four indices and costs O(n^4).
+    where m = q - r.  The a = 0 and a = m sums are both four-cycles,
+    tr((P_r P_m)^2) = sum_ij (P_r P_m)[i,j] (P_m P_r)[i,j], so one matrix
+    product P_r P_{q-r} per r serves them; each of the m - 1 sums with
+    0 < a < m is a complete graph on the four indices and costs O(n^4).
     """
+    _check_op_budget(inst, op_budget)
     q, n = inst.q, inst.n
-    est_ops = 2 * (q - 1) * n**3 + (q - 1) * (q - 2) // 2 * n**4
-    if est_ops > op_budget:
-        raise ResourceGuardError(
-            f"four-index sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}; "
-            "no fast path applies for q != 2"
-        )
     r_mat = toeplitz(rho_values(inst.H, n - 1))
-    powers = {x: r_mat**x for x in range(1, q + 1)}
+    powers = {x: r_mat**x for x in range(1, q)}
+    prods = {r: powers[r] @ powers[q - r] for r in range(1, q)}
     out = []
     for r in range(1, q):
         m = q - r
-        acc = 0.0
-        for a in range(m + 1):
-            subs, ops = ["kl", "ij"], [powers[r], powers[r]]
-            if a > 0:
-                subs += ["ki", "lj"]
-                ops += [powers[a], powers[a]]
-            if m - a > 0:
-                subs += ["kj", "li"]
-                ops += [powers[m - a], powers[m - a]]
-            four_sum = float(
-                np.einsum(",".join(subs) + "->", *ops, optimize=True)
-            )
-            acc += math.comb(m, a) ** 2 * four_sum
+        acc = 2.0 * float(np.einsum("ij,ij->", prods[r], prods[m]))
+        for a in range(1, m):
+            four_sum = np.einsum("kl,ij,ki,lj,kj,li->", powers[r], powers[r], powers[a],
+                                 powers[a], powers[m - a], powers[m - a], optimize=True)
+            acc += math.comb(m, a) ** 2 * float(four_sum)
         acc /= math.comb(2 * m, m)
         out.append(acc / (math.factorial(q) ** 4 * sig**4 * n**2))
     return out
 
 
 def bm_bound_exact(
-    inst: BmInstance,
-    *,
-    method: str = "auto",
-    op_budget: int = DEFAULT_OP_BUDGET,
+    inst: BmInstance, *, op_budget: int = DEFAULT_OP_BUDGET
 ) -> BoundReport:
-    """Exact E[(1 - q^{-1}||DZ_n||^2)^2] and the Kolmogorov-distance bound.
-
-    method: "auto" picks the Toeplitz-trace fast path at q = 2 (default above
-    any size) and the four-index path otherwise; "naive" forces the
-    four-index path (used to cross-check the fast path); "fast" requires
-    q = 2.
-    """
-    if method not in ("auto", "fast", "naive"):
-        raise BreuerMajorError(f"unknown method {method!r}")
+    """Exact E[(1 - q^{-1}||DZ_n||^2)^2] and the Kolmogorov-distance bound."""
     sig = sigma(inst.H, inst.q)
     variance = (1.0 - _bm_second_moment(inst, sig)) ** 2
-    if method == "fast" and inst.q != 2:
-        raise BreuerMajorError("fast path requires q = 2")
-    if inst.q == 2 and method != "naive":
-        norms = _contraction_norms_quadratic(inst, sig)
-    else:
-        norms = _contraction_norms_general(inst, sig, op_budget)
+    norms = _contraction_norms(inst, sig, op_budget)
     terms = [
         (r, _contraction_coeff(inst.q, r) * norms[r - 1])
         for r in range(1, inst.q)
@@ -284,11 +265,17 @@ def bm_rate(H: float, q: int) -> tuple[float, str]:
 
 
 def bm_table(H: float, q: int, ns: list[int]) -> list[dict]:
-    """Deterministic rows (one per n) for rate-regression experiments."""
+    """Deterministic rows (one per n) for rate-regression experiments.
+
+    Every instance and its op budget are checked before any row is computed.
+    """
     exponent, regime = bm_rate(H, q)
+    instances = [BmInstance(H, q, n) for n in ns]
+    for inst in instances:
+        _check_op_budget(inst, DEFAULT_OP_BUDGET)
     rows = []
-    for n in ns:
-        report = bm_bound_exact(BmInstance(H, q, n))
+    for n, inst in zip(ns, instances):
+        report = bm_bound_exact(inst)
         rows.append(
             {
                 "H": H,

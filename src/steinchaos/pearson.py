@@ -310,7 +310,8 @@ class DensityModel:
         """Wrap an already-normalized centered density on (a, b).
 
         Checks int p = 1 within 1e-8, the centering within 1e-8 (through the
-        constructor), and strict positivity on an interior sample grid.
+        constructor), and strict positivity on an interior sample grid.  The
+        model carries tau_from_density(model) as its tau.
         """
         grid = _interior_grid(a, b, 129)
         vals = np.array([pdf(float(x)) for x in grid])
@@ -321,6 +322,7 @@ class DensityModel:
             raise PearsonError(
                 f"density integrates to {model.normalization:.10f}, not 1"
             )
+        model.tau = tau_from_density(model)
         return model
 
     # ------------------------------------------------------------------

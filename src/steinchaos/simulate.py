@@ -3,7 +3,9 @@
 Randomness is counter-based: each block of 4096 rows draws from its own
 Philox stream keyed by (seed, block index), so output is bit-identical
 across runs and across any hypothetical worker layout, and extending the
-sample count extends the batch without changing existing rows.
+sample count extends the batch without changing existing rows.  sample_Zn
+reduces each block to its Z_n values in place, so its memory is bounded by
+the block size, not by the sample count.
 
 The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -57,13 +59,6 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_sizes(count: int) -> list[tuple[int, int]]:
-    return [
-        (block, min(BLOCK_ROWS, count - block * BLOCK_ROWS))
-        for block in range((count + BLOCK_ROWS - 1) // BLOCK_ROWS)
-    ]
-
-
 def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
     scale = float(np.abs(np.diag(cov)).max()) or 1.0
     jitter = 0.0
@@ -85,10 +80,16 @@ def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
-def sample_fbm_increments(
+def _fbm_blocks(
     H: float, n: int, count: int, seed: int, method: str = "auto"
-) -> SampleBatch:
-    """count independent rows of {n^H (B_{(k+1)/n} - B_{k/n})}, k < n."""
+) -> tuple[dict, Iterator[tuple[int, np.ndarray]]]:
+    """Generator meta and the (first row, rows) blocks of an increment batch.
+
+    The generator is chosen once; each block is drawn at full BLOCK_ROWS
+    shape and sliced, because the BLAS and FFT summation orders depend on
+    the operand shapes: fixed-shape blocks make row i depend only on
+    (seed, i), never on count.
+    """
     if not 0.0 < H < 1.0:
         raise SimulationError(f"Hurst index must lie in (0,1), got {H}")
     if n < 1 or count < 0:
@@ -97,40 +98,29 @@ def sample_fbm_increments(
         raise SimulationError(f"unknown method {method!r}")
 
     use_circulant = method == "circulant" or (method == "auto" and n >= CIRCULANT_MIN_N)
-    fallback = False
-    lam = None
-    if use_circulant:
-        lam = _circulant_eigs(H, n)
-        if lam is None:
-            use_circulant = False
-            fallback = True
+    lam = _circulant_eigs(H, n) if use_circulant else None
+    fallback = use_circulant and lam is None
 
-    # Partial blocks are computed at full block size and sliced: the BLAS and
-    # FFT summation orders depend on the operand shapes, so fixed-shape
-    # blocks are what makes row i depend only on (seed, i), never on count.
-    out = np.empty((count, n))
-    if use_circulant:
+    if lam is not None:
         m = 2 * n
         root = np.sqrt(lam)
-        for block, rows in _block_sizes(count):
-            rng = _stream(seed, block)
-            draws = (BLOCK_ROWS + 1) // 2
+        draws = (BLOCK_ROWS + 1) // 2
+        generator = "circulant-embedding"
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
             z = rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))
             y = np.fft.fft(z * root, axis=1) / math.sqrt(m)
             pair = np.empty((2 * draws, n))
             pair[0::2] = y.real[:, :n]
             pair[1::2] = y.imag[:, :n]
-            out[block * BLOCK_ROWS : block * BLOCK_ROWS + rows] = pair[:rows]
-        generator = "circulant-embedding"
+            return pair
+
     else:
         factor = _cholesky_factor(toeplitz(rho_values(H, n - 1)))
-        for block, rows in _block_sizes(count):
-            rng = _stream(seed, block)
-            z = rng.standard_normal((BLOCK_ROWS, n))
-            out[block * BLOCK_ROWS : block * BLOCK_ROWS + rows] = (
-                z @ factor.T
-            )[:rows]
         generator = "cholesky-toeplitz"
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            return rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
 
     meta = {
         "generator": generator,
@@ -139,21 +129,35 @@ def sample_fbm_increments(
         "count": count,
         "circulant_fallback": fallback,
     }
+    blocks = (
+        (start, draw(_stream(seed, start // BLOCK_ROWS))[: count - start])
+        for start in range(0, count, BLOCK_ROWS)
+    )
+    return meta, blocks
+
+
+def sample_fbm_increments(
+    H: float, n: int, count: int, seed: int, method: str = "auto"
+) -> SampleBatch:
+    """count independent rows of {n^H (B_{(k+1)/n} - B_{k/n})}, k < n."""
+    meta, blocks = _fbm_blocks(H, n, count, seed, method)
+    out = np.empty((count, n))
+    for start, rows in blocks:
+        out[start : start + BLOCK_ROWS] = rows
     return SampleBatch(values=out, seed=seed, meta=meta)
 
 
 def sample_Zn(H: float, q: int, n: int, count: int, seed: int) -> SampleBatch:
     """count draws of Z_n = (1/(sigma sqrt(n))) sum_k H_q(increment_k)."""
-    inst = BmInstance(H, q, n)  # validates the (H, q) admissible range
-    increments = sample_fbm_increments(H, n, count, seed)
-    sig = sigma(inst.H, inst.q)
-    values = np.asarray(hermite(q, increments.values)).sum(axis=1) / (
-        sig * math.sqrt(n)
-    )
-    meta = dict(increments.meta)
+    BmInstance(H, q, n)  # validates the (H, q) admissible range
+    meta, blocks = _fbm_blocks(H, n, count, seed)
+    sig = sigma(H, q)
+    sums = np.empty(count)
+    for start, rows in blocks:
+        sums[start : start + BLOCK_ROWS] = hermite(q, rows).sum(axis=1)
     meta.update({"generator": "breuer-major-Zn", "q": q, "sigma": sig,
-                 "increments": increments.meta["generator"]})
-    return SampleBatch(values=values, seed=seed, meta=meta)
+                 "increments": meta["generator"]})
+    return SampleBatch(values=sums / (sig * math.sqrt(n)), seed=seed, meta=meta)
 
 
 def empirical_kolmogorov(samples: np.ndarray, cdf: Callable) -> float:

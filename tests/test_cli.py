@@ -154,6 +154,28 @@ def test_precondition_violation(tmp_path):
     assert not (out / "breuer_major.csv").exists()
 
 
+def test_breuer_major_table_checks_every_row_before_computing(tmp_path, monkeypatch):
+    # the n = 256 row at q = 3 exceeds the default op budget; the n = 128 row
+    # ahead of it must not be computed first
+    from steinchaos import breuer_major
+
+    calls = []
+    original = breuer_major.bm_bound_exact
+
+    def counting(inst, **kwargs):
+        calls.append(inst.n)
+        return original(inst, **kwargs)
+
+    monkeypatch.setattr(breuer_major, "bm_bound_exact", counting)
+    code, out = run_cli(
+        tmp_path,
+        {"command": "breuer-major", "parameters": {"H": 0.4, "q": 3, "ns": [128, 256]}},
+    )
+    assert code == EXIT_PRECONDITION
+    assert not (out / "breuer_major.csv").exists()
+    assert calls == []
+
+
 def test_missing_config_file(tmp_path):
     code = main(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert code == EXIT_IO

@@ -117,6 +117,16 @@ def test_tau_from_normal_density():
     assert tau(1e9) == 0.0  # clamped outside any finite evaluation window
 
 
+def test_from_pdf_carries_its_tau():
+    d = DensityModel.from_pdf(normal_pdf, -math.inf, math.inf)
+    assert char_residual(d, math.sin, math.cos) == pytest.approx(0.0, abs=1e-9)
+    from_pdf = stein_solve(d, math.tanh)
+    from_spec = stein_solve(gaussian_spec(), math.tanh)
+    for x in (-1.5, 0.3, 2.0):
+        assert from_pdf.u(x) == pytest.approx(from_spec.u(x), abs=1e-9)
+        assert from_pdf.u_prime(x) == pytest.approx(from_spec.u_prime(x), abs=1e-9)
+
+
 def test_tau_from_gamma_density():
     for nu in (1.0, 2.0):
         d = density_from_tau(gamma_spec(nu))

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from steinchaos.breuer_major import BmInstance, bm_bound_exact, rho
-from steinchaos.chaos import ChaosVector, malliavin_inner
+from steinchaos.breuer_major import BmInstance, bm_bound_exact, rho, sigma
+from steinchaos.chaos import ChaosVector, hermite, malliavin_inner
 from steinchaos.simulate import (
+    BLOCK_ROWS,
     SimulationError,
     chatterjee_weight,
     empirical_kolmogorov,
@@ -81,6 +83,33 @@ def test_zn_variance_and_mean():
 def test_zn_validates_instance():
     with pytest.raises(Exception):
         sample_Zn(0.8, 2, 4, 10, seed=0)
+    with pytest.raises(SimulationError):
+        sample_Zn(0.5, 2, 4, -1, seed=0)
+
+
+def test_zn_equals_hermite_sum_of_increments():
+    # both generators, across a block boundary into a partial block
+    count = BLOCK_ROWS + 7
+    for H, q, n, generator in ((0.6, 2, 300, "cholesky-toeplitz"),
+                               (0.7, 3, 1100, "circulant-embedding")):
+        batch = sample_Zn(H, q, n, count, seed=4)
+        increments = sample_fbm_increments(H, n, count, seed=4)
+        assert increments.meta["generator"] == generator
+        expect = hermite(q, increments.values).sum(axis=1) / (sigma(H, q) * math.sqrt(n))
+        assert np.array_equal(batch.values, expect)
+        assert batch.meta["increments"] == generator
+
+
+def test_zn_memory_bounded_by_block():
+    n, count = 64, 10 * BLOCK_ROWS
+    sample_Zn(0.6, 2, n, 1, seed=0)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        sample_Zn(0.6, 2, n, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count * n * 8
 
 
 def test_empirical_kolmogorov_exact_values():
