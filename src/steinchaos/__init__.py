@@ -24,7 +24,6 @@ from .tensors import (  # noqa: F401
 )
 from .chaos import (  # noqa: F401
     ChaosVector,
-    eval_chaos,
     exact_moment,
     hermite,
     malliavin_inner,

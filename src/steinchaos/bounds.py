@@ -433,15 +433,6 @@ def chi2_double_bound(f: SymKernel) -> float:
     first = 8.0 * math.sqrt(2.0) * math.sqrt(
         max(raw_norm_sq(f.space, contract(f, f, 1)), 0.0)
     )
-    h = symmetrize(f.space, contract(f, f, 0))
-    if not h.to_dense().any():
-        expectation = 4.0
-    else:
-        hvec = ChaosVector.single(h)
-        x = (
-            ChaosVector.build(f.space, 2.0)
-            + 2.0 * hvec
-            - 0.25 * derivative_norm_sq(hvec)
-        )
-        expectation = x.second_moment()
-    return first + math.sqrt(2.0 * math.pi * expectation)
+    hvec = ChaosVector.single(symmetrize(f.space, contract(f, f, 0)))
+    x = ChaosVector.build(f.space, 2.0) + 2.0 * hvec - 0.25 * derivative_norm_sq(hvec)
+    return first + math.sqrt(2.0 * math.pi * x.second_moment())

@@ -8,11 +8,17 @@ multiplication formula, the chaos expansion of <DF, -DL^{-1}F> and of
 ||DF||^2, the Ornstein-Uhlenbeck semigroup action, and an exact moment
 oracle by Wick expansion.
 
+The multiplication formula and the two Malliavin expansions are one sum,
+sum_{f, g, r} w(p, q, r) I_{p+q-2r}(f ~x_r g) over the terms of two chaos
+vectors, computed by a single routine; they differ only in the weight w
+and the lowest contraction index r.
+
 Evaluation maps the symmetrized basis tensor of a multi-index with
 multiplicities (m_1, ..., m_k) to the product of monic Hermite polynomials
 of the coordinates; for a non-identity Gram matrix the kernels are first
 rotated into an orthonormalizing frame through a Cholesky factor, so the
-Hermite mapping stays exact.
+Hermite mapping stays exact.  Pathwise evaluation and the coordinate
+polynomial of the Wick oracle walk the same list of Hermite terms.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +45,6 @@ __all__ = [
     "ComplexityError",
     "ChaosVector",
     "hermite",
-    "eval_chaos",
     "exact_moment",
     "multiply",
     "product",
@@ -47,9 +53,12 @@ __all__ = [
     "ou_semigroup",
 ]
 
-# E[F^s] enumerates Wick pairings of a degree-(deg * s) polynomial; this caps
-# the enumeration at a size that stays under a second.
+# E[F^s] expands the coordinate polynomial F^s by repeated dict convolution
+# and averages its monomials.  DEGREE_GUARD caps the degree deg * s; the
+# term guard caps the monomial products of the last convolution, which grow
+# with the dimension too, at a size that stays under a second.
 DEGREE_GUARD = 16
+WICK_TERM_GUARD = 1_000_000
 
 
 class ChaosError(Exception):
@@ -57,7 +66,7 @@ class ChaosError(Exception):
 
 
 class ComplexityError(ChaosError):
-    """Raised when the Wick oracle would exceed the degree guard."""
+    """Raised when the Wick oracle would exceed its degree or term guard."""
 
 
 def _monic_hermite_values(q: int, x: np.ndarray) -> np.ndarray:
@@ -103,15 +112,9 @@ class ChaosVector:
         cls,
         space: GramSpace,
         constant: float = 0.0,
-        kernels: dict[int, SymKernel] | list[SymKernel] | None = None,
+        kernels: Iterable[SymKernel] = (),
     ) -> "ChaosVector":
-        items = []
-        if kernels:
-            values = kernels.values() if isinstance(kernels, dict) else kernels
-            for k in values:
-                if k.to_dense().any():
-                    items.append(k)
-        items.sort(key=lambda k: k.order)
+        items = sorted((k for k in kernels if k.to_dense().any()), key=lambda k: k.order)
         return cls(space, float(constant), tuple(items))
 
     @classmethod
@@ -143,7 +146,9 @@ class ChaosVector:
         merged: dict[int, SymKernel] = {k.order: k for k in self.terms}
         for k in other.terms:
             merged[k.order] = merged[k.order] + k if k.order in merged else k
-        return ChaosVector.build(self.space, self.constant + other.constant, merged)
+        return ChaosVector.build(
+            self.space, self.constant + other.constant, merged.values()
+        )
 
     def __mul__(self, scalar: float) -> "ChaosVector":
         s = float(scalar)
@@ -158,14 +163,21 @@ class ChaosVector:
 
     # ------------------------------------------------------------------
 
-    def _orthonormal_coeffs(self, kernel: SymKernel) -> dict[tuple[int, ...], float]:
-        """Coefficients of the kernel in the Cholesky-orthonormalized frame."""
-        arr = kernel.to_dense()
-        if not self.space.is_identity:
-            L = self.space.cholesky()
-            for _ in range(kernel.order):
-                arr = np.tensordot(arr, L, axes=([0], [0]))
-        return sorted_coeffs(arr)
+    def _hermite_terms(self) -> Iterator[tuple[float, tuple[tuple[int, int], ...]]]:
+        """Yield (coeff, ((var, multiplicity), ...)) for every basis term of
+        the kernels in the Cholesky-orthonormalized frame; the term stands for
+        coeff * prod He_multiplicity(x_var)."""
+        for kernel in self.terms:
+            arr = kernel.to_dense()
+            if not self.space.is_identity:
+                L = self.space.cholesky()
+                for _ in range(kernel.order):
+                    arr = np.tensordot(arr, L, axes=([0], [0]))
+            for index, coeff in sorted_coeffs(arr).items():
+                yield coeff, tuple(
+                    (var, sum(1 for _ in group))
+                    for var, group in itertools.groupby(index)
+                )
 
     def eval(self, xi: np.ndarray) -> float | np.ndarray:
         """Pathwise value at standard-normal coordinates of the orthonormal frame."""
@@ -178,26 +190,22 @@ class ChaosVector:
                 f"coordinate dimension {pts.shape[1]} != model dimension {self.space.dim}"
             )
         total = np.full(pts.shape[0], self.constant)
-        for kernel in self.terms:
-            for index, coeff in self._orthonormal_coeffs(kernel).items():
-                factor = np.full(pts.shape[0], coeff)
-                for var, group in itertools.groupby(index):
-                    mult = sum(1 for _ in group)
-                    factor = factor * _monic_hermite_values(mult, pts[:, var])
-                total += factor
+        for coeff, factors in self._hermite_terms():
+            factor = np.full(pts.shape[0], coeff)
+            for var, mult in factors:
+                factor = factor * _monic_hermite_values(mult, pts[:, var])
+            total += factor
         return float(total[0]) if single else total
 
     def to_polynomial(self) -> wick.Poly:
         """Polynomial in the i.i.d. coordinates of the orthonormal frame."""
         d = self.space.dim
         poly = wick.poly_const(d, self.constant)
-        for kernel in self.terms:
-            for index, coeff in self._orthonormal_coeffs(kernel).items():
-                term = wick.poly_const(d, coeff)
-                for var, group in itertools.groupby(index):
-                    mult = sum(1 for _ in group)
-                    term = wick.poly_mul(term, wick.monic_hermite_poly(d, var, mult))
-                poly = wick.poly_add(poly, term)
+        for coeff, factors in self._hermite_terms():
+            term = wick.poly_const(d, coeff)
+            for var, mult in factors:
+                term = wick.poly_mul(term, wick.monic_hermite_poly(d, var, mult))
+            poly = wick.poly_add(poly, term)
         return poly
 
     # ------------------------------------------------------------------
@@ -218,10 +226,6 @@ class ChaosVector:
         return cls.build(space, float(obj["constant"]), kernels)
 
 
-def eval_chaos(F: ChaosVector, xi: np.ndarray) -> float | np.ndarray:
-    return F.eval(xi)
-
-
 def exact_moment(F: ChaosVector, s: int) -> float:
     """Exact E[F^s] through Wick expansion of the coordinate polynomial."""
     if s < 0:
@@ -233,79 +237,66 @@ def exact_moment(F: ChaosVector, s: int) -> float:
         raise ComplexityError(
             f"degree {degree} * power {s} exceeds the Wick guard {DEGREE_GUARD}"
         )
+    # the last convolution multiplies F^{s-1} (at most C(d+(s-1)deg, d)
+    # monomials) by F (at most C(d+deg, d))
+    d = F.space.dim
+    products = math.comb(d + (s - 1) * degree, d) * math.comb(d + degree, d)
+    if products > WICK_TERM_GUARD:
+        raise ComplexityError(
+            f"E[F^{s}] at dimension {d}, degree {degree} needs ~{products:.3g} "
+            f"monomial products, over the Wick guard {WICK_TERM_GUARD:.0e}"
+        )
     poly = wick.poly_pow(F.to_polynomial(), s)
     return wick.poly_gaussian_expectation(poly)
 
 
-def _single_term(F: ChaosVector) -> SymKernel:
-    if F.constant != 0.0 or len(F.terms) != 1:
-        raise ChaosError("operand must be a single multiple integral I_q(f)")
-    return F.terms[0]
-
-
-def multiply(F: ChaosVector, G: ChaosVector) -> ChaosVector:
-    """Chaos expansion of I_p(f) I_q(g) by the multiplication formula."""
-    f, g = _single_term(F), _single_term(G)
-    if not f.space.same_as(g.space):
-        raise ChaosError("operands live over different spaces")
-    p, q = f.order, g.order
-    constant = 0.0
-    kernels: dict[int, SymKernel] = {}
-    for r in range(min(p, q) + 1):
-        coeff = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        raw = contract(f, g, r)
-        order = p + q - 2 * r
-        if order == 0:
-            constant += coeff * raw
-        else:
-            term = coeff * symmetrize(f.space, raw)
-            kernels[order] = kernels[order] + term if order in kernels else term
-    return ChaosVector.build(f.space, constant, kernels)
-
-
-def product(F: ChaosVector, G: ChaosVector) -> ChaosVector:
-    """Product of two general chaos vectors, distributed term by term."""
+def _expand(
+    F: ChaosVector, G: ChaosVector, weight: Callable[[int, int, int], int], r_min: int
+) -> ChaosVector:
+    """sum over terms f of F, g of G and r_min <= r <= min(p, q) of
+    weight(p, q, r) I_{p+q-2r}(f ~x_r g); the order-0 results are the constant."""
     if not F.space.same_as(G.space):
         raise ChaosError("operands live over different spaces")
-    out = ChaosVector.build(F.space, F.constant * G.constant)
-    for k in F.terms:
-        out = out + G.constant * ChaosVector.single(k)
-    for k in G.terms:
-        out = out + F.constant * ChaosVector.single(k)
-    for kf in F.terms:
-        for kg in G.terms:
-            out = out + multiply(ChaosVector.single(kf), ChaosVector.single(kg))
-    return out
-
-
-def _pairing_expansion(F: ChaosVector, weight) -> ChaosVector:
-    """Shared expansion sum_{i,j} w(q_i) sum_r c_r I_{q_i+q_j-2r}(f_i x_r f_j).
-
-    weight(q_i, q_j) supplies the leading factor: q_i for <DF, -DL^{-1}F>,
-    q_i * q_j for ||DF||^2.  The r = q_i diagonal terms are the constants.
-    """
     constant = 0.0
     kernels: dict[int, SymKernel] = {}
-    for fi in F.terms:
-        for fj in F.terms:
-            qi, qj = fi.order, fj.order
-            for r in range(1, min(qi, qj) + 1):
-                coeff = (
-                    weight(qi, qj)
-                    * math.factorial(r - 1)
-                    * math.comb(qi - 1, r - 1)
-                    * math.comb(qj - 1, r - 1)
-                )
-                raw = contract(fi, fj, r)
-                order = qi + qj - 2 * r
+    for f in F.terms:
+        for g in G.terms:
+            p, q = f.order, g.order
+            for r in range(r_min, min(p, q) + 1):
+                coeff = weight(p, q, r)
+                raw = contract(f, g, r)
+                order = p + q - 2 * r
                 if order == 0:
                     constant += coeff * raw
                 else:
                     term = coeff * symmetrize(F.space, raw)
-                    kernels[order] = (
-                        kernels[order] + term if order in kernels else term
-                    )
-    return ChaosVector.build(F.space, constant, kernels)
+                    kernels[order] = kernels[order] + term if order in kernels else term
+    return ChaosVector.build(F.space, constant, kernels.values())
+
+
+def _product_weight(p: int, q: int, r: int) -> int:
+    """r! C(p, r) C(q, r): the multiplication-formula weight."""
+    return math.factorial(r) * math.comb(p, r) * math.comb(q, r)
+
+
+def _pairing_weight(p: int, q: int, r: int) -> int:
+    """(r-1)! C(p-1, r-1) C(q-1, r-1): the weight of f ~x_r g in <DF, DG>/(pq)."""
+    return math.factorial(r - 1) * math.comb(p - 1, r - 1) * math.comb(q - 1, r - 1)
+
+
+def multiply(F: ChaosVector, G: ChaosVector) -> ChaosVector:
+    """Chaos expansion of I_p(f) I_q(g) by the multiplication formula."""
+    if any(X.constant != 0.0 or len(X.terms) != 1 for X in (F, G)):
+        raise ChaosError("operand must be a single multiple integral I_q(f)")
+    return _expand(F, G, _product_weight, 0)
+
+
+def product(F: ChaosVector, G: ChaosVector) -> ChaosVector:
+    """Product of two general chaos vectors: the constants times the other
+    vector plus the multiplication formula over every pair of terms."""
+    chaotic = _expand(F, G, _product_weight, 0)
+    centered_F = ChaosVector(F.space, 0.0, F.terms)
+    return F.constant * G + G.constant * centered_F + chaotic
 
 
 def malliavin_inner(F: ChaosVector) -> ChaosVector:
@@ -317,14 +308,14 @@ def malliavin_inner(F: ChaosVector) -> ChaosVector:
     """
     if F.constant != 0.0:
         raise ChaosError("malliavin_inner requires a centered input (constant 0)")
-    return _pairing_expansion(F, lambda qi, qj: qi)
+    return _expand(F, F, lambda p, q, r: p * _pairing_weight(p, q, r), 1)
 
 
 def derivative_norm_sq(F: ChaosVector) -> ChaosVector:
     """Chaos expansion of ||DF||^2 (constant term sum q_i q_i! ||f_i||^2)."""
     if F.constant != 0.0:
         raise ChaosError("derivative_norm_sq requires a centered input")
-    return _pairing_expansion(F, lambda qi, qj: qi * qj)
+    return _expand(F, F, lambda p, q, r: p * q * _pairing_weight(p, q, r), 1)
 
 
 def ou_semigroup(F: ChaosVector, z: float) -> ChaosVector:

@@ -33,7 +33,6 @@ from scipy.special import ndtr
 from . import __version__
 from .bounds import (
     BoundError,
-    BoundReport,
     gamma_bound_single,
     gauss_bound_single,
 )
@@ -86,23 +85,15 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _report_rows(report: BoundReport, prefix: list) -> tuple[list[str], list[list]]:
-    header = ["metric", "variance_term", "squared_total", "bound"]
-    row = prefix + [
-        report.metric,
-        report.variance_term,
-        report.squared_total,
-        report.bound,
-    ]
-    return header, [row]
+# column names of BoundReport.csv_row
+REPORT_HEADER = ["metric", "variance_term", "squared_total", "bound"]
 
 
 def _cmd_bound(params: dict, out_dir: Path) -> dict:
     kernel = _load_kernel(Path(_require(params, "kernel")))
     metric = params.get("metric", "kolmogorov")
     report = gauss_bound_single(kernel, metric)
-    header, rows = _report_rows(report, [])
-    _write_csv(out_dir / "bound.csv", header, rows)
+    _write_csv(out_dir / "bound.csv", REPORT_HEADER, [report.csv_row()])
     return {"files": ["bound.csv"], "report": report.to_json_obj()}
 
 
@@ -111,8 +102,7 @@ def _cmd_gamma(params: dict, out_dir: Path) -> dict:
     nu = float(_require(params, "nu"))
     metric = params.get("metric", "h2")
     report = gamma_bound_single(kernel, nu, metric)
-    header, rows = _report_rows(report, [])
-    _write_csv(out_dir / "gamma.csv", header, rows)
+    _write_csv(out_dir / "gamma.csv", REPORT_HEADER, [report.csv_row()])
     return {"files": ["gamma.csv"], "report": report.to_json_obj()}
 
 

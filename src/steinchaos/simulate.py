@@ -108,8 +108,13 @@ def _fbm_blocks(
         generator = "circulant-embedding"
 
         def draw(rng: np.random.Generator) -> np.ndarray:
-            z = rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))
-            y = np.fft.fft(z * root, axis=1) / math.sqrt(m)
+            z = np.empty((draws, m), dtype=complex)
+            z.real = rng.standard_normal((draws, m))
+            z.imag = rng.standard_normal((draws, m))
+            z *= root
+            y = np.fft.fft(z, axis=1)
+            del z
+            y /= math.sqrt(m)
             pair = np.empty((2 * draws, n))
             pair[0::2] = y.real[:, :n]
             pair[1::2] = y.imag[:, :n]

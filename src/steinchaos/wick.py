@@ -7,8 +7,9 @@ pairing.  Everything here is independent of the tensor-contraction bound
 machinery, which is the whole point: the two paths check each other.
 
 A polynomial in d variables is a dict mapping exponent tuples of length d
-to coefficients.  Degrees stay small (the callers guard degree * power <= 16),
-so plain dict convolution is fast enough.
+to coefficients.  Sizes stay small (exact_moment guards degree * power <= 16
+and the monomial products of the last convolution), so plain dict
+convolution is fast enough.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from steinchaos.chaos import (
     ChaosVector,
     ComplexityError,
     derivative_norm_sq,
-    eval_chaos,
     exact_moment,
     hermite,
     malliavin_inner,
@@ -63,7 +63,6 @@ def test_hermite_vectorized():
 def test_eval_second_chaos_diagonal(plane):
     F = single(tensor_power(plane, E1, 2))
     assert F.eval(np.array([2.0, 5.0])) == pytest.approx(3.0)  # x^2 - 1
-    assert eval_chaos(F, np.array([2.0, 5.0])) == pytest.approx(3.0)
 
 
 def test_eval_off_diagonal(plane):
@@ -125,6 +124,17 @@ def test_exact_moment_guard(plane):
     F = single(tensor_power(plane, E1, 2))
     with pytest.raises(ComplexityError):
         exact_moment(F, 9)
+
+
+def test_exact_moment_guard_counts_dimension():
+    # q * s = 16 passes the degree guard, but at d = 7 the last convolution
+    # needs C(19, 7) * C(11, 7) ~ 1.7e7 monomial products (~15 s to expand)
+    space = GramSpace.standard(7)
+    F = single(random_kernel(space, 4, np.random.default_rng(3)))
+    started = time.perf_counter()
+    with pytest.raises(ComplexityError, match="dimension 7"):
+        exact_moment(F, 4)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_exact_moment_matches_monte_carlo(plane):

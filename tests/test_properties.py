@@ -1,10 +1,13 @@
-"""Property tests for kernel storage and the Wick-oracle identities.
+"""Property tests for kernel storage, the Wick-oracle identities and the
+chaos expansions.
 
 Inputs are random non-identity Gram spaces of dimension <= 4 and kernels of
 order 0-5 over sorted multi-indices with repeated entries, built three ways:
 from a coefficient dict, by symmetrizing a raw array, and by arithmetic on
-those.  Hypothesis runs derandomized and without its example database, so
-the suite stays deterministic and leaves no files behind.
+those.  The chaos expansions (product, ||DF||^2) are checked against the
+coordinate-polynomial oracle of the wick module.  Hypothesis runs
+derandomized and without its example database, so the suite stays
+deterministic and leaves no files behind.
 """
 
 import itertools
@@ -15,8 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import derivative_norm_poly
+from steinchaos import wick
 from steinchaos.bounds import gauss_bound_single, second_chaos_exact_squared
-from steinchaos.chaos import ChaosVector, exact_moment
+from steinchaos.chaos import ChaosVector, derivative_norm_sq, exact_moment, product
 from steinchaos.tensors import GramSpace, SymKernel, symmetrize
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -106,3 +111,41 @@ def test_second_chaos_moments_match_contraction_bound(f):
     assert from_moments == pytest.approx(
         gauss_bound_single(f).squared_total, rel=1e-10, abs=1e-10
     )
+
+
+@st.composite
+def chaos_vectors(draw, space, constant, min_terms=1):
+    """Up to two chaoses of orders 1-3 plus the given constant."""
+    orders = sorted(draw(st.sets(st.integers(1, 3), min_size=min_terms, max_size=2)))
+    terms = [draw(kernels(space, q, UNIT)) for q in orders]
+    return ChaosVector.build(space, constant, terms)
+
+
+def assert_polys_close(got, want):
+    for mono in set(got) | set(want):
+        assert got.get(mono, 0.0) == pytest.approx(
+            want.get(mono, 0.0), rel=1e-10, abs=1e-10
+        ), mono
+
+
+NONZERO_UNIT = UNIT.filter(lambda v: abs(v) > 1e-3)
+
+
+@PROPERTY
+@given(st.data())
+def test_product_matches_polynomial_product(data):
+    space = data.draw(gram_spaces(max_dim=3))
+    F = data.draw(chaos_vectors(space, data.draw(NONZERO_UNIT)))
+    G = data.draw(chaos_vectors(space, data.draw(NONZERO_UNIT)))
+    assert_polys_close(
+        product(F, G).to_polynomial(),
+        wick.poly_mul(F.to_polynomial(), G.to_polynomial()),
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_derivative_norm_sq_matches_polynomial_derivative(data):
+    space = data.draw(gram_spaces(max_dim=3))
+    F = data.draw(chaos_vectors(space, 0.0, min_terms=2))
+    assert_polys_close(derivative_norm_sq(F).to_polynomial(), derivative_norm_poly(F))
