@@ -14,12 +14,19 @@ We compute the *exact* squared quantity E[(1 - q^{-1}||DZ_n||^2)^2] (the
 equality version of the single-chaos Gaussian bound), not the chained proof
 estimates: the variance mismatch reduces to a one-dimensional weighted sum
 of rho^q, and every contraction norm reduces to stationary four-index sums
-of rho powers.  One routine serves every q: the four-cycle sums are traces
-of products of elementwise powers of the n x n autocovariance Toeplitz
-matrix (one matrix product per r, which at q = 2 is all there is), and the
-complete-graph sums that appear from q = 3 on are contracted directly under
-an operation budget.  The explicit kernel bm_kernel, fed to the generic
-tensor bounds, is the deliberate independent oracle for these formulas.
+of rho powers.  One routine serves every q and builds no n x n matrix.
+Each P_x = rho^x (elementwise) is symmetric Toeplitz, so:
+
+- the four-cycle sums tr((P_r P_m)^2), all there is at q = 2, come from
+  the diagonals of P_r P_m, seeded by two FFT Toeplitz products and walked
+  by its displacement identity: O(n^2) time in O(n) memory;
+- the complete-graph sums that appear from q = 3 on collapse to sums over
+  three lags weighted by the number of grid positions that fit them:
+  O(n^3) time in O(n^2) memory.
+
+Both run under an operation budget that counts what they visit.  The
+explicit kernel bm_kernel, fed to the generic tensor bounds, is the
+deliberate independent oracle for these formulas.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.special import zeta
 
 from .bounds import BoundReport, _assemble, _contraction_coeff
@@ -56,6 +64,8 @@ __all__ = [
 # with error far below the 1e-10 target.
 SIGMA_DIRECT_TERMS = 100_000
 DEFAULT_OP_BUDGET = 2_000_000_000
+# Entries of the product diagonals walked per block in _four_cycle.
+WALK_BLOCK = 1 << 19
 
 
 class BreuerMajorError(Exception):
@@ -67,7 +77,7 @@ class DivergenceError(BreuerMajorError):
 
 
 class ResourceGuardError(BreuerMajorError):
-    """Raised when the four-index contraction sums exceed the op budget."""
+    """Raised when the contraction sums exceed the op budget."""
 
 
 @dataclass(frozen=True)
@@ -184,18 +194,111 @@ def _bm_second_moment(inst: BmInstance, sig: float) -> float:
 
 
 def _check_op_budget(inst: BmInstance, op_budget: int) -> None:
-    """Refuse instances whose complete-graph sums exceed op_budget.
+    """Refuse instances whose contraction sums exceed op_budget.
 
-    The estimate counts what _contraction_norms runs: (q-1) n^3 for the
-    matrix products and n^4 for each of the (q-1)(q-2)/2 complete-graph
-    sums.  q = 2 has no complete-graph sum and is never refused.
+    The estimate counts what _contraction_norms visits: the n^2 entries of
+    the product walked for each of the q // 2 distinct four-cycle sums, and
+    the (2n)^3 lag triples of each of the (q-1)(q-2)/2 complete-graph sums.
     """
     q, n = inst.q, inst.n
-    est_ops = (q - 1) * n**3 + (q - 1) * (q - 2) // 2 * n**4
-    if q > 2 and est_ops > op_budget:
+    est_ops = q // 2 * n**2 + (q - 1) * (q - 2) // 2 * 8 * n**3
+    if est_ops > op_budget:
         raise ResourceGuardError(
-            f"four-index sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
+            f"contraction sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
         )
+
+
+def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray,
+                       d0: int, d1: int) -> np.ndarray:
+    """Diagonals d0 <= d < d1 of X Y, X and Y symmetric Toeplitz.
+
+    x and y are the first columns and row0 is row 0 of X Y.  Row d - d0 of
+    the result holds (X Y)[i, i + d] for i < n - d0, walked from row0[d] by
+    the displacement identity
+
+        (X Y)[i+1, j+1] = (X Y)[i, j] + x[i+1] y[j+1] - x[n-1-i] y[n-1-j];
+
+    entries with i >= n - d lie past the end of their diagonal.
+    """
+    n = x.size
+    width = n - d0
+    walk = np.empty((d1 - d0, width))
+    walk[:, 0] = row0[d0:d1]
+    if width > 1:
+        pad = np.zeros(n)
+        ahead = sliding_window_view(np.concatenate([y, pad]), width - 1)
+        behind = sliding_window_view(np.concatenate([y[::-1], pad]), width - 1)
+        np.multiply(x[1:width], ahead[d0 + 1 : d1 + 1], out=walk[:, 1:])
+        walk[:, 1:] -= x[::-1][: width - 1] * behind[d0:d1]
+    return np.cumsum(walk, axis=1, out=walk)
+
+
+def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
+    """tr((A B)^2) for symmetric Toeplitz A, B with first columns a, b.
+
+    tr((A B)^2) = sum_d (diagonal d of A B) . (diagonal -d of A B), and
+    diagonal -d of A B is diagonal d of B A.  Row 0 of A B is B a and row 0
+    of B A is A b (two FFT Toeplitz products; one walk when A is B, since
+    then A B is symmetric).  The diagonals are walked in blocks of about
+    WALK_BLOCK entries, so memory stays O(n).
+    """
+    n = a.size
+    row_ab = matmul_toeplitz((b, b), a)
+    row_ba = row_ab if a is b else matmul_toeplitz((a, a), b)
+    step = max(1, WALK_BLOCK // n)
+    total = 0.0
+    for d0 in range(0, n, step):
+        d1 = min(n, d0 + step)
+        upper = _product_diagonals(a, b, row_ab, d0, d1)
+        lower = upper if a is b else _product_diagonals(b, a, row_ba, d0, d1)
+        # zero the entries past the end of each diagonal
+        width, count = n - d0, d1 - d0
+        tail = np.arange(count - 1) < (count - 1 - np.arange(count))[:, None]
+        upper[:, width - count + 1 :] *= tail
+        dots = np.einsum("ij,ij->i", upper, lower)
+        total += 2.0 * float(dots.sum()) - (float(dots[0]) if d0 == 0 else 0.0)
+    return total
+
+
+def _complete_graph(n: int, pr: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> float:
+    """sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_a[l,j] P_b[k,j] P_b[l,i] by lags.
+
+    With (u, v, w) = (l - k, i - k, j - k) the sum is
+
+        sum_{(u,v,w) in (-n,n)^3} max(0, n - span{0,u,v,w})
+            p_r(u) p_r(w-v) p_a(v) p_a(w-u) p_b(w) p_b(v-u),
+
+    where p_x(t) = pr[|t|] etc., zero for |t| >= n (the weight is 0 there).
+    The summand is even under (u,v,w) -> (-u,-v,-w), so u runs over
+    0 <= u < n, once for u = 0 and twice otherwise.  For u >= 0 the weight
+    is min(n + min(0,v,w) - u, max(0, n - span{0,v,w})) on the block
+    u - n < v, w < n and 0 outside it; C(v,w) = p_r(w-v) p_a(v) p_b(w) is
+    shared by every u.  O(n^3) time in O(n^2) memory.
+    """
+    def lagged(p):  # p_x(t) at t + 2n - 1, t in (-2n, 2n)
+        out = np.zeros(4 * n - 1)
+        out[n : 3 * n - 1] = np.concatenate([p[:0:-1], p])
+        return out
+
+    er, ea, eb = lagged(pr), lagged(pa), lagged(pb)
+    lags = np.arange(1 - n, n, dtype=float)
+    # C[v, w] with v, w in (-n, n); p_r(w - v) is a Toeplitz window of er
+    c_mat = sliding_window_view(er, 2 * n - 1)[2 * n - 1 : 0 : -1]
+    c_mat = c_mat * ea[n : 3 * n - 1, None] * eb[None, n : 3 * n - 1]
+    # grid positions that fit the lags: n - span{0,u,v,w} = min(low - u, fits)
+    low = n + np.minimum.outer(np.minimum(lags, 0.0), np.minimum(lags, 0.0))
+    fits = np.maximum(low - np.maximum.outer(np.maximum(lags, 0.0), lags), 0.0)
+    weight = np.empty_like(c_mat)
+    total = 0.0
+    for u in range(n):
+        k = 2 * n - 1 - u
+        w_u = weight[:k, :k]
+        np.subtract(low[u:, u:], u, out=w_u)
+        np.minimum(w_u, fits[u:, u:], out=w_u)
+        w_u *= c_mat[u:, u:]
+        term = pr[u] * float(eb[n : n + k] @ w_u @ ea[n : n + k])
+        total += term if u == 0 else 2.0 * term
+    return total
 
 
 def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[float]:
@@ -208,24 +311,23 @@ def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[flo
             sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_{m-a}[k,j]
                        P_{m-a}[l,i] P_a[l,j],
 
-    where m = q - r.  The a = 0 and a = m sums are both four-cycles,
-    tr((P_r P_m)^2) = sum_ij (P_r P_m)[i,j] (P_m P_r)[i,j], so one matrix
-    product P_r P_{q-r} per r serves them; each of the m - 1 sums with
-    0 < a < m is a complete graph on the four indices and costs O(n^4).
+    where m = q - r.  The a = 0 and a = m sums are both the four-cycle
+    tr((P_r P_m)^2), the same for r and q - r, walked along the diagonals
+    of P_r P_m (_four_cycle); each of the m - 1 sums with 0 < a < m is a
+    complete graph on the four indices, summed over lags (_complete_graph).
     """
     _check_op_budget(inst, op_budget)
     q, n = inst.q, inst.n
-    r_mat = toeplitz(rho_values(inst.H, n - 1))
-    powers = {x: r_mat**x for x in range(1, q)}
-    prods = {r: powers[r] @ powers[q - r] for r in range(1, q)}
+    base = rho_values(inst.H, n - 1)
+    powers = {x: base**x for x in range(1, q)}
+    cycles = {r: _four_cycle(powers[r], powers[q - r]) for r in range(1, q // 2 + 1)}
     out = []
     for r in range(1, q):
         m = q - r
-        acc = 2.0 * float(np.einsum("ij,ij->", prods[r], prods[m]))
+        acc = 2.0 * cycles[min(r, m)]
         for a in range(1, m):
-            four_sum = np.einsum("kl,ij,ki,lj,kj,li->", powers[r], powers[r], powers[a],
-                                 powers[a], powers[m - a], powers[m - a], optimize=True)
-            acc += math.comb(m, a) ** 2 * float(four_sum)
+            four_sum = _complete_graph(n, powers[r], powers[a], powers[m - a])
+            acc += math.comb(m, a) ** 2 * four_sum
         acc /= math.comb(2 * m, m)
         out.append(acc / (math.factorial(q) ** 4 * sig**4 * n**2))
     return out

@@ -70,22 +70,37 @@ class ComplexityError(ChaosError):
 
 
 def _monic_hermite_values(q: int, x: np.ndarray) -> np.ndarray:
-    """He_q(x) by the stable three-term recurrence (vectorized)."""
+    """He_q(x) by the stable three-term recurrence (vectorized).
+
+    x is only read.  He_{k+1} = x He_k - k He_{k-1} is formed in at most
+    three reused arrays of x's shape, the returned one always new.
+    """
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if q == 0:
-        return prev
-    cur = x.copy()
-    for n in range(1, q):
-        prev, cur = cur, x * cur - n * prev
-    return cur
+        return np.ones_like(x)
+    if q == 1:
+        return x.copy()
+    flat = np.atleast_1d(x)
+    prev, cur = flat, flat * flat
+    cur -= 1.0  # He_2 = x He_1 - 1 He_0
+    spare = None
+    for k in range(2, q):
+        if prev is flat:
+            prev = k * flat
+        else:
+            prev *= k
+        spare = np.multiply(flat, cur, out=spare)
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
+    return cur.reshape(x.shape)
 
 
 def hermite(q: int, x: float | np.ndarray) -> float | np.ndarray:
     """Hermite polynomial with the 1/q! normalization: H_2(x) = (x^2-1)/2."""
     if q < 0:
         raise ChaosError(f"Hermite order must be >= 0, got {q}")
-    vals = _monic_hermite_values(q, np.asarray(x, dtype=float)) / math.factorial(q)
+    vals = _monic_hermite_values(q, np.asarray(x, dtype=float))
+    vals /= math.factorial(q)
     return float(vals) if np.ndim(x) == 0 else vals
 
 

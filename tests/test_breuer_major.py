@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from steinchaos.breuer_major import (
+    DEFAULT_OP_BUDGET,
     BmInstance,
     BreuerMajorError,
     DivergenceError,
@@ -16,6 +19,8 @@ from steinchaos.breuer_major import (
     rho_values,
     sigma,
     sigma_quadratic,
+    _check_op_budget,
+    _contraction_norms,
 )
 from steinchaos.bounds import gauss_bound_single
 from steinchaos.chaos import hermite
@@ -145,10 +150,74 @@ def test_bm_resource_guard():
 
 
 def test_bm_resource_guard_counts_complete_graph_sums():
-    # at q = 3 the r = 1, a = 1 sum is a complete graph on four indices: n^4
+    # at q = 3 the r = 1, a = 1 sum is a complete graph on four indices,
+    # summed over (2n)^3 lag triples
     with pytest.raises(ResourceGuardError):
-        bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=64**4)
-    bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=64**4)
+        bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=8 * 32**3)
+    bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=8 * 32**3)
+
+
+def test_bm_resource_guard_admits_what_runs_in_seconds():
+    # the lag sums make q = 3 at n = 256 about a 1e8-op instance
+    _check_op_budget(BmInstance(0.6, 3, 256), DEFAULT_OP_BUDGET)
+    _check_op_budget(BmInstance(0.7, 2, 2**15), DEFAULT_OP_BUDGET)
+
+
+def test_bm_resource_guard_covers_q2():
+    # the four-cycle walk visits n^2 entries; q = 2 is guarded like every q
+    with pytest.raises(ResourceGuardError):
+        _check_op_budget(BmInstance(0.7, 2, 2**16), DEFAULT_OP_BUDGET)
+    with pytest.raises(ResourceGuardError):
+        bm_bound_exact(BmInstance(0.7, 2, 64), op_budget=64**2 - 1)
+
+
+def _dense_contraction_norms(inst: BmInstance) -> list[float]:
+    """||f ~x_r f||^2 from dense n x n matrices of rho^x.
+
+    The deliberate oracle for _contraction_norms: four-cycle sums as
+    tr((P_r P_m)^2) through one dense matrix product per r, complete-graph
+    sums as six-operand einsum over the four grid indices, O(n^4).
+    """
+    q, n = inst.q, inst.n
+    sig = sigma(inst.H, q)
+    r_mat = toeplitz(rho_values(inst.H, n - 1))
+    powers = {x: r_mat**x for x in range(1, q)}
+    prods = {r: powers[r] @ powers[q - r] for r in range(1, q)}
+    out = []
+    for r in range(1, q):
+        m = q - r
+        acc = 2.0 * float(np.einsum("ij,ij->", prods[r], prods[m]))
+        for a in range(1, m):
+            four_sum = np.einsum("kl,ij,ki,lj,kj,li->", powers[r], powers[r], powers[a],
+                                 powers[a], powers[m - a], powers[m - a], optimize=True)
+            acc += math.comb(m, a) ** 2 * float(four_sum)
+        acc /= math.comb(2 * m, m)
+        out.append(acc / (math.factorial(q) ** 4 * sig**4 * n**2))
+    return out
+
+
+def test_bm_contraction_norms_match_dense_oracle():
+    for q in (2, 3, 4, 5):
+        ns = (1, 2, 3, 7, 16, 33) + ((64, 512) if q == 2 else ())
+        for H in (0.3, 0.55, 0.6, 0.7):
+            if H >= (2 * q - 1) / (2 * q):
+                continue
+            for n in ns:
+                inst = BmInstance(H, q, n)
+                fast = _contraction_norms(inst, sigma(H, q), DEFAULT_OP_BUDGET)
+                dense = _dense_contraction_norms(inst)
+                assert fast == pytest.approx(dense, rel=1e-12, abs=0.0), (q, H, n)
+
+
+def test_bm_bound_memory_below_one_dense_matrix():
+    n = 4096
+    tracemalloc.start()
+    try:
+        bm_bound_exact(BmInstance(0.7, 2, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_quadratic_variant_normalization():

@@ -55,6 +55,31 @@ def test_hermite_vectorized():
     assert np.allclose(hermite(2, xs), (xs**2 - 1) / 2)
 
 
+def _reference_monic_hermite(q, x):
+    """He_q(x) by the out-of-place three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if q == 0:
+        return prev
+    cur = x.copy()
+    for n in range(1, q):
+        prev, cur = cur, x * cur - n * prev
+    return cur
+
+
+def test_hermite_in_place_recurrence_is_bit_identical():
+    rng = np.random.default_rng(5)
+    inputs = [rng.normal(size=(40, 9)) * 3, rng.normal(size=(30, 8))[:, 2], 1.7, np.array(-0.4)]
+    for x in inputs:
+        before = np.array(x, copy=True)
+        for q in range(7):
+            expected = _reference_monic_hermite(q, x) / math.factorial(q)
+            got = hermite(q, x)
+            assert np.array_equal(got, expected)
+            assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(x, before)  # the input is only read
+
+
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------

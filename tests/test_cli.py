@@ -155,7 +155,7 @@ def test_precondition_violation(tmp_path):
 
 
 def test_breuer_major_table_checks_every_row_before_computing(tmp_path, monkeypatch):
-    # the n = 256 row at q = 3 exceeds the default op budget; the n = 128 row
+    # the n = 2048 row at q = 3 exceeds the default op budget; the n = 128 row
     # ahead of it must not be computed first
     from steinchaos import breuer_major
 
@@ -169,7 +169,7 @@ def test_breuer_major_table_checks_every_row_before_computing(tmp_path, monkeypa
     monkeypatch.setattr(breuer_major, "bm_bound_exact", counting)
     code, out = run_cli(
         tmp_path,
-        {"command": "breuer-major", "parameters": {"H": 0.4, "q": 3, "ns": [128, 256]}},
+        {"command": "breuer-major", "parameters": {"H": 0.4, "q": 3, "ns": [128, 2048]}},
     )
     assert code == EXIT_PRECONDITION
     assert not (out / "breuer_major.csv").exists()
