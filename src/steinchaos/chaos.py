@@ -80,16 +80,16 @@ def _monic_hermite_values(q: int, x: np.ndarray) -> np.ndarray:
         return np.ones_like(x)
     if q == 1:
         return x.copy()
-    flat = np.atleast_1d(x)
-    prev, cur = flat, flat * flat
+    xs = np.atleast_1d(x)  # in-place updates need arrays, also for a 0-d x
+    prev, cur = xs, xs * xs
     cur -= 1.0  # He_2 = x He_1 - 1 He_0
     spare = None
     for k in range(2, q):
-        if prev is flat:
-            prev = k * flat
+        if prev is xs:
+            prev = k * xs
         else:
             prev *= k
-        spare = np.multiply(flat, cur, out=spare)
+        spare = np.multiply(xs, cur, out=spare)
         spare -= prev
         prev, cur, spare = cur, spare, prev
     return cur.reshape(x.shape)
