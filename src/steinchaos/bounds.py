@@ -15,6 +15,13 @@ target by 2*nu and adds the midpoint-contraction correction
 Distance constants: 1 for Kolmogorov/Wasserstein, 2 for total variation,
 4 for Fortet-Mourier, and K_1(nu), K_2(nu) for the Gamma target classes.
 
+All four kernel bounds are assembled from one private helper per concept:
+_metric_constant (metric alias and distance constant), _variance (the
+variance mismatch), _pair_coeff (the exact integer weight of a contraction
+product), _midpoint_sq (the Gamma midpoint term) and, for the sum bounds,
+_cross_terms (the (i, j, r) sum of contraction norms, which takes
+||f x_0 f|| = ||f||^2 from the inner product and forms no f x_0 f tensor).
+
 Reports always carry the term-by-term decomposition so experiments can
 attribute error mass to the variance mismatch versus each contraction order.
 """
@@ -26,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .chaos import ChaosVector, derivative_norm_sq
+from .chaos import ChaosVector, _pairing_weight, derivative_norm_sq
 from .tensors import (
     SymKernel,
     contract,
@@ -79,13 +86,6 @@ _METRIC_ALIASES = {
     "h1": "h1",
     "h2": "h2",
 }
-
-
-def canonical_metric(metric: str) -> str:
-    key = metric.strip().lower()
-    if key not in _METRIC_ALIASES:
-        raise BoundError(f"unknown metric {metric!r}")
-    return _METRIC_ALIASES[key]
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,77 @@ def _assemble(metric, constant, variance, terms, unsym=None) -> BoundReport:
     )
 
 
-def _contraction_coeff(q: int, r: int) -> float:
-    return (
-        q**2
-        * math.factorial(2 * q - 2 * r)
-        * math.factorial(r - 1) ** 2
-        * math.comb(q - 1, r - 1) ** 4
-    )
+def _metric_constant(metric: str, nu: float | None = None) -> tuple[str, float]:
+    """Canonical metric name and its distance constant: the Gaussian constant
+    when nu is None, else K_1(nu) for h1 and K_2(nu) for h2."""
+    name = _METRIC_ALIASES.get(metric.strip().lower())
+    if name is None:
+        raise BoundError(f"unknown metric {metric!r}")
+    if nu is None:
+        if name not in GAUSS_METRIC_CONSTANTS:
+            raise BoundError(f"metric {name!r} is not a Gaussian-approximation metric")
+        return name, GAUSS_METRIC_CONSTANTS[name]
+    k1, k2 = stein_constants(nu)
+    if name == "h2":
+        return name, k2
+    if name != "h1":
+        raise BoundError(f"metric {name!r} is not a Gamma-approximation metric")
+    if k1 is None:
+        raise BoundError("metric h1 requires an integer nu")
+    return name, k1
+
+
+def _pair_coeff(p: int, q: int, r: int) -> int:
+    """p^2 (r-1)!^2 binom(p-1, r-1)^2 binom(q-1, r-1)^2 (p+q-2r)!, exactly.
+
+    The weight of ||f x_{p-r} f|| ||g x_{q-r} g|| in the sum bounds; at
+    p = q it is q^2 (2q-2r)! (r-1)!^2 binom(q-1, r-1)^4, the weight of
+    ||f x_r f||^2 in the single-chaos bounds.
+    """
+    return p**2 * _pairing_weight(p, q, r) ** 2 * math.factorial(p + q - 2 * r)
+
+
+def _variance(kernels: list[SymKernel], target: float) -> float:
+    """(target - sum_i q_i! ||f_i||^2)^2."""
+    return (target - sum(math.factorial(f.order) * gram_inner(f, f) for f in kernels)) ** 2
+
+
+def _midpoint_sq(g: SymKernel) -> float:
+    """q! ||c_q^{-1} g ~x_{q/2} g - g||^2 for an even order q."""
+    q = g.order
+    mid_sym = symmetrize(g.space, contract(g, g, q // 2))
+    diff = (1.0 / midpoint_constant(q)) * mid_sym - g
+    return math.factorial(q) * gram_inner(diff, diff)
+
+
+def _cross_terms(
+    kernels: list[SymKernel], prefactor: float, skip: Callable[[int, int], bool]
+) -> dict[int, float]:
+    """{r: prefactor sum_{(i,j)} _pair_coeff(q_i, q_j, r)
+    ||f_i x_{q_i-r} f_i|| ||f_j x_{q_j-r} f_j||} over 1 <= r <= q_i ^ q_j,
+    except the diagonal i = j terms where skip(q_i, r) holds.
+
+    The raw norm ||f_i x_0 f_i|| is taken as ||f_i||^2, so no tensor
+    product is formed.
+    """
+    norms = [
+        [gram_inner(f, f)]
+        + [
+            math.sqrt(max(raw_norm_sq(f.space, contract(f, f, k)), 0.0))
+            for k in range(1, f.order)
+        ]
+        for f in kernels
+    ]
+    per_r: dict[int, float] = {}
+    for i, fi in enumerate(kernels):
+        for j, fj in enumerate(kernels):
+            p, q = fi.order, fj.order
+            for r in range(1, min(p, q) + 1):
+                if i == j and skip(p, r):
+                    continue
+                coeff = prefactor * _pair_coeff(p, q, r)
+                per_r[r] = per_r.get(r, 0.0) + coeff * norms[i][p - r] * norms[j][q - r]
+    return per_r
 
 
 def gauss_bound_single(f: SymKernel, metric: str = "kolmogorov") -> BoundReport:
@@ -159,59 +223,20 @@ def gauss_bound_single(f: SymKernel, metric: str = "kolmogorov") -> BoundReport:
     (symmetrized contractions); the non-symmetrized upper bound is reported
     alongside as unsym_squared_total.
     """
-    metric = canonical_metric(metric)
-    if metric not in GAUSS_METRIC_CONSTANTS:
-        raise BoundError(f"metric {metric!r} is not a Gaussian-approximation metric")
+    metric, constant = _metric_constant(metric)
     q = f.order
     if q < 2:
         raise BoundError(f"Gaussian chaos bound needs order >= 2, got {q}")
-    variance = (1.0 - math.factorial(q) * gram_inner(f, f)) ** 2
+    variance = _variance([f], 1.0)
     terms: list[tuple[int, float]] = []
     unsym = variance
     for r in range(1, q):
         raw = contract(f, f, r)
-        coeff = _contraction_coeff(q, r)
+        coeff = _pair_coeff(q, q, r)
         sym = symmetrize(f.space, raw)
         terms.append((r, coeff * gram_inner(sym, sym)))
         unsym += coeff * raw_norm_sq(f.space, raw)
-    constant = GAUSS_METRIC_CONSTANTS[metric]
     return _assemble(metric, constant, variance, terms, unsym=unsym)
-
-
-def _self_contraction_norms(f: SymKernel) -> list[float]:
-    """||f x_k f|| for k = 0, ..., q-1 (raw contraction norms)."""
-    return [
-        math.sqrt(max(raw_norm_sq(f.space, contract(f, f, k)), 0.0))
-        for k in range(f.order)
-    ]
-
-
-def _cross_contraction_terms(
-    orders: list[int],
-    norms: list[list[float]],
-    prefactor: float,
-    skip_diagonal: Callable[[int, int], bool],
-    per_r: dict[int, float],
-) -> None:
-    """Add prefactor q_i^2 (r-1)!^2 binom(q_i-1, r-1)^2 binom(q_j-1, r-1)^2
-    (q_i+q_j-2r)! ||f_i x_{q_i-r} f_i|| ||f_j x_{q_j-r} f_j|| into per_r[r]
-    for every (i, j, r) with 1 <= r <= q_i ^ q_j, except the diagonal
-    i = j terms where skip_diagonal(q_i, r) holds.
-    """
-    for i, qi in enumerate(orders):
-        for j, qj in enumerate(orders):
-            for r in range(1, min(qi, qj) + 1):
-                if i == j and skip_diagonal(qi, r):
-                    continue
-                coeff = (
-                    qi**2
-                    * math.factorial(r - 1) ** 2
-                    * math.comb(qi - 1, r - 1) ** 2
-                    * math.comb(qj - 1, r - 1) ** 2
-                    * math.factorial(qi + qj - 2 * r)
-                )
-                value = prefactor * coeff * norms[i][qi - r] * norms[j][qj - r]
-                per_r[r] = per_r.get(r, 0.0) + value
 
 
 def gauss_bound_sum(
@@ -229,9 +254,7 @@ def gauss_bound_sum(
     the triple sum running over 1 <= r <= q_i ^ q_j except the diagonal
     triple (r, q_i, q_j) = (q_i, q_i, q_i).
     """
-    metric = canonical_metric(metric)
-    if metric not in GAUSS_METRIC_CONSTANTS:
-        raise BoundError(f"metric {metric!r} is not a Gaussian-approximation metric")
+    metric, constant = _metric_constant(metric)
     if not kernels:
         raise BoundError("at least one kernel is required")
     orders = [k.order for k in kernels]
@@ -239,24 +262,10 @@ def gauss_bound_sum(
         raise BoundError("orders must be distinct")
     if any(q < 2 for q in orders):
         raise BoundError("all orders must be >= 2")
-    pairs = sorted(zip(orders, kernels), key=lambda t: t[0])
-    orders = [q for q, _ in pairs]
-    kernels = [k for _, k in pairs]
-    s = len(kernels)
-
-    sum_ef2 = sum(
-        math.factorial(k.order) * gram_inner(k, k) for k in kernels
-    )
-    variance = 2.0 * (1.0 - sum_ef2) ** 2
-
-    norms = [_self_contraction_norms(k) for k in kernels]
-    per_r: dict[int, float] = {}
-    _cross_contraction_terms(
-        orders, norms, 2.0 * s**2, lambda q, r: r == q, per_r
-    )
-    terms = sorted(per_r.items())
-    constant = GAUSS_METRIC_CONSTANTS[metric]
-    return _assemble(metric, constant, variance, terms)
+    kernels = sorted(kernels, key=lambda k: k.order)
+    variance = 2.0 * _variance(kernels, 1.0)
+    per_r = _cross_terms(kernels, 2.0 * len(kernels) ** 2, lambda q, r: r == q)
+    return _assemble(metric, constant, variance, sorted(per_r.items()))
 
 
 def second_chaos_exact_squared(m2: float, m4: float) -> float:
@@ -319,17 +328,6 @@ def midpoint_constant(q: int) -> float:
     return 1.0 / (math.factorial(half) * math.comb(q - 1, half - 1) ** 2)
 
 
-def _gamma_constant(nu: float, metric: str) -> float:
-    k1, k2 = stein_constants(nu)
-    if metric == "h1":
-        if k1 is None:
-            raise BoundError("metric h1 requires an integer nu")
-        return k1
-    if metric == "h2":
-        return k2
-    raise BoundError(f"metric {metric!r} is not a Gamma-approximation metric")
-
-
 def gamma_bound_single(
     g: SymKernel, nu: float, metric: str = "h2"
 ) -> BoundReport:
@@ -343,25 +341,19 @@ def gamma_bound_single(
 
     (an equality at q = 2, where the middle sum is empty).
     """
-    metric = canonical_metric(metric)
     if nu <= 0:
         raise BoundError(f"nu must be positive, got {nu}")
     q = g.order
     if q < 2 or q % 2 != 0:
         raise BoundError(f"Gamma chaos bound needs an even order >= 2, got {q}")
-    constant = _gamma_constant(nu, metric)
-    variance = (2.0 * nu - math.factorial(q) * gram_inner(g, g)) ** 2
-    terms: list[tuple[int, float]] = []
-    half = q // 2
-    for r in range(1, q):
-        if r == half:
-            continue
-        raw = contract(g, g, r)
-        terms.append((r, _contraction_coeff(q, r) * raw_norm_sq(g.space, raw)))
-    mid_sym = symmetrize(g.space, contract(g, g, half))
-    cq = midpoint_constant(q)
-    diff = (1.0 / cq) * mid_sym - g
-    terms.append((half, 4.0 * math.factorial(q) * gram_inner(diff, diff)))
+    metric, constant = _metric_constant(metric, nu)
+    variance = _variance([g], 2.0 * nu)
+    terms = [
+        (r, _pair_coeff(q, q, r) * raw_norm_sq(g.space, contract(g, g, r)))
+        for r in range(1, q)
+        if 2 * r != q
+    ]
+    terms.append((q // 2, 4.0 * _midpoint_sq(g)))
     terms.sort()
     return _assemble(metric, constant, variance, terms)
 
@@ -378,7 +370,7 @@ def gamma_bound_sum(
     Upper-bounds E[(2 Z + 2 nu - <DZ, -DL^{-1}Z>)^2], nu = nu1 + nu2, by
 
         3 (2 nu - sum q_i! ||f_i||^2)^2
-        + 24 sum_i c_{q_i}^{-2} q_i! ||f_i ~x_{q_i/2} f_i - c_{q_i} f_i||^2
+        + 24 sum_i q_i! ||c_{q_i}^{-1} f_i ~x_{q_i/2} f_i - f_i||^2
         + 12 sum_{(i,j,r)} q_i^2 (r-1)!^2 binom(q_i-1, r-1)^2
               binom(q_j-1, r-1)^2 (q_i+q_j-2r)!
               ||f_i x_{q_i-r} f_i|| ||f_j x_{q_j-r} f_j||,
@@ -386,38 +378,22 @@ def gamma_bound_sum(
     the triple sum excluding, on the diagonal i = j, both r = q_i and
     r = q_i/2.
     """
-    metric = canonical_metric(metric)
     if nu1 <= 0 or nu2 <= 0:
         raise BoundError("both nu parameters must be positive")
     q1, q2 = f1.order, f2.order
     if q1 % 2 != 0 or q2 % 2 != 0:
         raise BoundError("both orders must be even")
-    if not q1 < q2:
-        raise BoundError(f"orders must satisfy q1 < q2, got {q1}, {q2}")
     if not q2 > 2 * q1:
         raise BoundError(f"orders must satisfy q2 > 2 q1, got {q1}, {q2}")
     nu = nu1 + nu2
-    constant = _gamma_constant(nu, metric)
+    metric, constant = _metric_constant(metric, nu)
     kernels = [f1, f2]
-    orders = [q1, q2]
-
-    sum_ef2 = sum(math.factorial(q) * gram_inner(k, k) for q, k in zip(orders, kernels))
-    variance = 3.0 * (2.0 * nu - sum_ef2) ** 2
-
-    per_r: dict[int, float] = {}
-    for q, k in zip(orders, kernels):
-        cq = midpoint_constant(q)
-        mid_sym = symmetrize(k.space, contract(k, k, q // 2))
-        diff = mid_sym - cq * k
-        value = 24.0 * cq**-2 * math.factorial(q) * gram_inner(diff, diff)
-        per_r[q // 2] = per_r.get(q // 2, 0.0) + value
-
-    norms = [_self_contraction_norms(k) for k in kernels]
-    _cross_contraction_terms(
-        orders, norms, 12.0, lambda q, r: r == q or 2 * r == q, per_r
-    )
-    terms = sorted(per_r.items())
-    return _assemble(metric, constant, variance, terms)
+    variance = 3.0 * _variance(kernels, 2.0 * nu)
+    per_r = _cross_terms(kernels, 12.0, lambda q, r: r == q or 2 * r == q)
+    for f in kernels:
+        half = f.order // 2
+        per_r[half] = per_r.get(half, 0.0) + 24.0 * _midpoint_sq(f)
+    return _assemble(metric, constant, variance, sorted(per_r.items()))
 
 
 def chi2_double_bound(f: SymKernel) -> float:

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.special import zeta
 
-from .bounds import BoundReport, _assemble, _contraction_coeff
+from .bounds import BoundReport, _assemble, _pair_coeff
 from .tensors import GramSpace, SymKernel
 
 __all__ = [
@@ -341,7 +341,7 @@ def bm_bound_exact(
     variance = (1.0 - _bm_second_moment(inst, sig)) ** 2
     norms = _contraction_norms(inst, sig, op_budget)
     terms = [
-        (r, _contraction_coeff(inst.q, r) * norms[r - 1])
+        (r, _pair_coeff(inst.q, inst.q, r) * norms[r - 1])
         for r in range(1, inst.q)
     ]
     return _assemble("kolmogorov", 1.0, variance, terms)

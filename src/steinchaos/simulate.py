@@ -112,8 +112,7 @@ def _fbm_blocks(
             z.real = rng.standard_normal((draws, m))
             z.imag = rng.standard_normal((draws, m))
             z *= root
-            y = np.fft.fft(z, axis=1)
-            del z
+            y = np.fft.fft(z, axis=1, out=z)
             y /= math.sqrt(m)
             pair = np.empty((2 * draws, n))
             pair[0::2] = y.real[:, :n]
@@ -160,6 +159,7 @@ def sample_Zn(H: float, q: int, n: int, count: int, seed: int) -> SampleBatch:
     sums = np.empty(count)
     for start, rows in blocks:
         sums[start : start + BLOCK_ROWS] = hermite(q, rows).sum(axis=1)
+        del rows  # free the block before the generator draws the next one
     meta.update({"generator": "breuer-major-Zn", "q": q, "sigma": sig,
                  "increments": meta["generator"]})
     return SampleBatch(values=sums / (sig * math.sqrt(n)), seed=seed, meta=meta)

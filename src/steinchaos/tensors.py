@@ -342,6 +342,8 @@ def symmetrize(space: GramSpace, raw: np.ndarray) -> SymKernel:
 
 def _apply_gram(space: GramSpace, arr: np.ndarray, naxes: int) -> np.ndarray:
     """Multiply the trailing `naxes` axes of arr by G, preserving axis order."""
+    if space.is_identity:
+        return arr
     out = arr
     total = arr.ndim
     for _ in range(naxes):

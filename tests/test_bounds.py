@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import derivative_norm_poly, random_kernel
+from conftest import derivative_norm_poly, random_gram, random_kernel
 from steinchaos import wick
 from steinchaos.bounds import (
     BoundError,
+    _pair_coeff,
     chi2_double_bound,
     gamma_bound_single,
     gamma_bound_sum,
@@ -21,7 +23,15 @@ from steinchaos.bounds import (
     stein_constants,
 )
 from steinchaos.chaos import ChaosVector, exact_moment, malliavin_inner
-from steinchaos.tensors import GramSpace, SymKernel, symmetrize, contract, tensor_power
+from steinchaos.tensors import (
+    GramSpace,
+    SymKernel,
+    contract,
+    gram_inner,
+    raw_norm_sq,
+    symmetrize,
+    tensor_power,
+)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -303,6 +313,115 @@ def test_gamma_sum_dominates_exact():
         # E[target^2] exactly by chaos orthogonality (degree 12 > Wick guard)
         exact = target.second_moment()
         assert report.squared_total >= exact - 1e-10
+
+
+# ----------------------------------------------------------------------
+# shared coefficient and the sum bounds against the closed-form oracle
+# ----------------------------------------------------------------------
+
+
+def test_pair_coeff_is_the_single_chaos_closed_form():
+    for q in range(1, 9):
+        for r in range(1, q + 1):
+            closed = (
+                q**2
+                * math.factorial(2 * q - 2 * r)
+                * math.factorial(r - 1) ** 2
+                * math.comb(q - 1, r - 1) ** 4
+            )
+            coeff = _pair_coeff(q, q, r)
+            assert type(coeff) is int
+            assert coeff == closed, (q, r)
+
+
+def _sum_bound_oracle(kernels, prefactor, skip):
+    """{r: contraction term} of the sum bounds, written out the long way.
+
+    The deliberate oracle for bounds._cross_terms: every raw contraction
+    norm ||f x_k f|| for k = 0, ..., q-1 is formed from its tensor, the
+    tensor product f x_0 f included, and the coefficient is the closed form
+    q_i^2 (r-1)!^2 binom(q_i-1, r-1)^2 binom(q_j-1, r-1)^2 (q_i+q_j-2r)!.
+    """
+    norms = [
+        [math.sqrt(max(raw_norm_sq(f.space, contract(f, f, k)), 0.0)) for k in range(f.order)]
+        for f in kernels
+    ]
+    per_r = {}
+    for i, f in enumerate(kernels):
+        for j, g in enumerate(kernels):
+            qi, qj = f.order, g.order
+            for r in range(1, min(qi, qj) + 1):
+                if i == j and skip(qi, r):
+                    continue
+                coeff = (
+                    qi**2
+                    * math.factorial(r - 1) ** 2
+                    * math.comb(qi - 1, r - 1) ** 2
+                    * math.comb(qj - 1, r - 1) ** 2
+                    * math.factorial(qi + qj - 2 * r)
+                )
+                value = prefactor * coeff * norms[i][qi - r] * norms[j][qj - r]
+                per_r[r] = per_r.get(r, 0.0) + value
+    return per_r
+
+
+def _assert_report_matches(report, variance, per_r):
+    assert report.variance_term == pytest.approx(variance, rel=1e-12, abs=0.0)
+    assert [r for r, _ in report.contraction_terms] == sorted(per_r)
+    for r, value in report.contraction_terms:
+        assert value == pytest.approx(per_r[r], rel=1e-12, abs=0.0), r
+    total = variance + sum(per_r.values())
+    assert report.squared_total == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def _sum_spaces(rng):
+    return [GramSpace.standard(2), GramSpace.standard(3), random_gram(2, rng), random_gram(3, rng)]
+
+
+def test_gauss_sum_matches_oracle():
+    rng = np.random.default_rng(2400)
+    for space in _sum_spaces(rng):
+        for orders in ((2, 3), (4, 2), (2, 3, 4)):
+            kernels = [random_kernel(space, q, rng, scale=0.5) for q in orders]
+            report = gauss_bound_sum(kernels)
+            kernels = sorted(kernels, key=lambda k: k.order)
+            mass = sum(math.factorial(k.order) * gram_inner(k, k) for k in kernels)
+            per_r = _sum_bound_oracle(kernels, 2.0 * len(kernels) ** 2, lambda q, r: r == q)
+            _assert_report_matches(report, 2.0 * (1.0 - mass) ** 2, per_r)
+
+
+def test_gamma_sum_matches_oracle():
+    rng = np.random.default_rng(2500)
+    for space in _sum_spaces(rng):
+        f1 = random_kernel(space, 2, rng, scale=0.7)
+        f2 = random_kernel(space, 6, rng, scale=0.3)
+        nu1, nu2 = 0.6, 0.4
+        report = gamma_bound_sum(f1, nu1, f2, nu2)
+        kernels = [f1, f2]
+        mass = sum(math.factorial(k.order) * gram_inner(k, k) for k in kernels)
+        per_r = _sum_bound_oracle(kernels, 12.0, lambda q, r: r == q or 2 * r == q)
+        for k in kernels:
+            q = k.order
+            cq = midpoint_constant(q)
+            diff = symmetrize(space, contract(k, k, q // 2)) - cq * k
+            value = 24.0 * cq**-2 * math.factorial(q) * gram_inner(diff, diff)
+            per_r[q // 2] = per_r.get(q // 2, 0.0) + value
+        _assert_report_matches(report, 3.0 * (2.0 * (nu1 + nu2) - mass) ** 2, per_r)
+
+
+def test_gamma_sum_forms_no_tensor_product():
+    # f2 x_0 f2 alone is a 4^12-entry array (128 MiB); the bound needs none.
+    rng = np.random.default_rng(2600)
+    space = GramSpace.standard(4)
+    f1 = random_kernel(space, 2, rng, scale=0.7)
+    f2 = random_kernel(space, 6, rng, scale=0.3)
+    tracemalloc.start()
+    try:
+        gamma_bound_sum(f1, 0.6, f2, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ----------------------------------------------------------------------
