@@ -15,7 +15,9 @@ simulate       Monte Carlo Z_n batch, empirical Kolmogorov distance against
 
 Every run writes one CSV data file (fixed column order, floats at 17
 significant digits, byte-identical across reruns of the same config) plus a
-manifest JSON echoing the config, versions and timings.  Exit codes: 0 ok,
+manifest JSON echoing the config, versions and timings (simulate adds the
+sampler's generator, circulant fallback and worker count under
+"diagnostics").  Exit codes: 0 ok,
 2 config parse error, 3 precondition violation, 4 file I/O error.
 """
 
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from . import __version__
+from . import __version__, simulate
 from .bounds import (
     BoundError,
     gamma_bound_single,
@@ -200,7 +202,12 @@ def _cmd_simulate(params: dict, out_dir: Path) -> dict:
         lines.extend(_fmt(float(v)) for v in batch.values)
         sample_path.write_text("\n".join(lines) + "\n")
         files.append("samples.csv")
-    return {"files": files, "ks": ks, "bound": report.bound}
+    diagnostics = {
+        "generator": batch.meta["increments"],
+        "circulant_fallback": batch.meta["circulant_fallback"],
+        "workers": simulate.WORKERS,
+    }
+    return {"files": files, "ks": ks, "bound": report.bound, "diagnostics": diagnostics}
 
 
 _COMMANDS = {
@@ -225,6 +232,7 @@ def run(config: dict, out_dir: Path, seed_override: int | None = None) -> dict:
         params["seed"] = int(seed_override)
     started = time.perf_counter()
     result = _COMMANDS[command](params, out_dir)
+    diagnostics = result.pop("diagnostics", None)
     manifest = {
         "command": command,
         "config": {"command": command, "parameters": params},
@@ -232,6 +240,8 @@ def run(config: dict, out_dir: Path, seed_override: int | None = None) -> dict:
         "elapsed_seconds": time.perf_counter() - started,
         "result": result,
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=float))
     return manifest
 

@@ -2,10 +2,14 @@
 
 Randomness is counter-based: each block of 4096 rows draws from its own
 Philox stream keyed by (seed, block index), so output is bit-identical
-across runs and across any hypothetical worker layout, and extending the
-sample count extends the batch without changing existing rows.  sample_Zn
-reduces each block to its Z_n values in place, so its memory is bounded by
-the block size, not by the sample count.
+across runs and across worker layouts, and extending the sample count
+extends the batch without changing existing rows.  Blocks run on a pool of
+WORKERS threads (the CPUs the process may run on, at most 4); each writes
+its rows into its own slice of the output.  A block yields its rows in
+pieces: a circulant block draws its real parts whole, then runs the
+imaginary parts, the FFT and the scaling in chunks of CHUNK_ROWS draws.
+sample_Zn reduces each piece to its Z_n sums as it arrives, so its memory
+is bounded by the worker count times one block, not by the sample count.
 
 The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
@@ -18,6 +22,8 @@ records the fallback in SampleBatch.meta["circulant_fallback"]).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -38,7 +44,10 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 4096
+CHUNK_ROWS = 64  # circulant draws (or Cholesky rows) per piece of a block
 CIRCULANT_MIN_N = 1025
+WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 
 class SimulationError(Exception):
@@ -82,13 +91,16 @@ def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
 
 def _fbm_blocks(
     H: float, n: int, count: int, seed: int, method: str = "auto"
-) -> tuple[dict, Iterator[tuple[int, np.ndarray]]]:
-    """Generator meta and the (first row, rows) blocks of an increment batch.
+) -> tuple[dict, Callable[[int], Iterator[tuple[slice, np.ndarray]]]]:
+    """Generator meta and the per-block routine of an increment batch.
 
-    The generator is chosen once; each block is drawn at full BLOCK_ROWS
-    shape and sliced, because the BLAS and FFT summation orders depend on
-    the operand shapes: fixed-shape blocks make row i depend only on
-    (seed, i), never on count.
+    pieces(start) draws the block whose first row is start and yields
+    (rows, values) pairs: values holds the block rows picked by the slice
+    rows, counted from start, and the pieces cover the block's rows up to
+    count once each.  The generator is chosen once.  Every row depends only
+    on (seed, row): the Cholesky product is formed at full BLOCK_ROWS shape
+    (BLAS summation order depends on the operand shapes), and the circulant
+    FFT and the scalings act row by row.
     """
     if not 0.0 < H < 1.0:
         raise SimulationError(f"Hurst index must lie in (0,1), got {H}")
@@ -107,24 +119,32 @@ def _fbm_blocks(
         draws = (BLOCK_ROWS + 1) // 2
         generator = "circulant-embedding"
 
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            z = np.empty((draws, m), dtype=complex)
-            z.real = rng.standard_normal((draws, m))
-            z.imag = rng.standard_normal((draws, m))
-            z *= root
-            y = np.fft.fft(z, axis=1, out=z)
-            y /= math.sqrt(m)
-            pair = np.empty((2 * draws, n))
-            pair[0::2] = y.real[:, :n]
-            pair[1::2] = y.imag[:, :n]
-            return pair
+        def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+            # the stream holds every real part before any imaginary one; draw
+            # d gives block row 2d from its real part and 2d + 1 from its
+            # imaginary part
+            real = rng.standard_normal((draws, m))
+            needed = (rows + 1) // 2
+            for d0 in range(0, needed, CHUNK_ROWS):
+                d1 = min(d0 + CHUNK_ROWS, needed)
+                z = np.empty((d1 - d0, m), dtype=complex)
+                z.real = real[d0:d1]
+                z.imag = rng.standard_normal((d1 - d0, m))
+                z *= root
+                y = np.fft.fft(z, axis=1, out=z)
+                y /= math.sqrt(m)
+                yield slice(2 * d0, 2 * d1, 2), y.real[:, :n]
+                yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0, :n]
 
     else:
         factor = _cholesky_factor(toeplitz(rho_values(H, n - 1)))
         generator = "cholesky-toeplitz"
 
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            return rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
+        def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+            block = rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
+            for r0 in range(0, rows, CHUNK_ROWS):
+                r1 = min(r0 + CHUNK_ROWS, rows)
+                yield slice(r0, r1), block[r0:r1]
 
     meta = {
         "generator": generator,
@@ -133,33 +153,50 @@ def _fbm_blocks(
         "count": count,
         "circulant_fallback": fallback,
     }
-    blocks = (
-        (start, draw(_stream(seed, start // BLOCK_ROWS))[: count - start])
-        for start in range(0, count, BLOCK_ROWS)
-    )
-    return meta, blocks
+
+    def pieces(start: int) -> Iterator[tuple[slice, np.ndarray]]:
+        return draw(_stream(seed, start // BLOCK_ROWS), min(BLOCK_ROWS, count - start))
+
+    return meta, pieces
+
+
+def _each_block(count: int, work: Callable[[int], None]) -> None:
+    """work(start) for the first row of every block, on up to WORKERS threads."""
+    starts = range(0, count, BLOCK_ROWS)
+    with ThreadPoolExecutor(max_workers=max(1, min(WORKERS, len(starts)))) as pool:
+        for _ in pool.map(work, starts):
+            pass
 
 
 def sample_fbm_increments(
     H: float, n: int, count: int, seed: int, method: str = "auto"
 ) -> SampleBatch:
     """count independent rows of {n^H (B_{(k+1)/n} - B_{k/n})}, k < n."""
-    meta, blocks = _fbm_blocks(H, n, count, seed, method)
+    meta, pieces = _fbm_blocks(H, n, count, seed, method)
     out = np.empty((count, n))
-    for start, rows in blocks:
-        out[start : start + BLOCK_ROWS] = rows
+
+    def fill(start: int) -> None:
+        block = out[start : start + BLOCK_ROWS]
+        for rows, values in pieces(start):
+            block[rows] = values
+
+    _each_block(count, fill)
     return SampleBatch(values=out, seed=seed, meta=meta)
 
 
 def sample_Zn(H: float, q: int, n: int, count: int, seed: int) -> SampleBatch:
     """count draws of Z_n = (1/(sigma sqrt(n))) sum_k H_q(increment_k)."""
     BmInstance(H, q, n)  # validates the (H, q) admissible range
-    meta, blocks = _fbm_blocks(H, n, count, seed)
+    meta, pieces = _fbm_blocks(H, n, count, seed)
     sig = sigma(H, q)
     sums = np.empty(count)
-    for start, rows in blocks:
-        sums[start : start + BLOCK_ROWS] = hermite(q, rows).sum(axis=1)
-        del rows  # free the block before the generator draws the next one
+
+    def reduce(start: int) -> None:
+        block = sums[start : start + BLOCK_ROWS]
+        for rows, values in pieces(start):
+            block[rows] = hermite(q, values).sum(axis=1)
+
+    _each_block(count, reduce)
     meta.update({"generator": "breuer-major-Zn", "q": q, "sigma": sig,
                  "increments": meta["generator"]})
     return SampleBatch(values=sums / (sig * math.sqrt(n)), seed=seed, meta=meta)

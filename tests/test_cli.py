@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from steinchaos import simulate
 from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
 from steinchaos.tensors import GramSpace, tensor_power
 
@@ -113,6 +114,18 @@ def test_simulate_command(tmp_path):
     samples = (out / "samples.csv").read_text().splitlines()
     assert samples[0].startswith("# ")
     assert len(samples) == 4000 + 2
+
+
+def test_simulate_manifest_diagnostics(tmp_path):
+    for n, generator in ((8, "cholesky-toeplitz"), (1025, "circulant-embedding")):
+        config = {"command": "simulate",
+                  "parameters": {"H": 0.6, "q": 2, "n": n, "count": 10, "seed": 1}}
+        code, out = run_cli(tmp_path, config, out=f"n{n}")
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {
+            "generator": generator, "circulant_fallback": False, "workers": simulate.WORKERS}
+        assert "diagnostics" not in manifest["result"]
 
 
 def test_seed_override(tmp_path):

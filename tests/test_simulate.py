@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
 
-from steinchaos.breuer_major import BmInstance, bm_bound_exact, rho, sigma
+from steinchaos import simulate
+from steinchaos.breuer_major import BmInstance, bm_bound_exact, rho, rho_values, sigma
 from steinchaos.chaos import ChaosVector, hermite, malliavin_inner
 from steinchaos.simulate import (
     BLOCK_ROWS,
+    CIRCULANT_MIN_N,
     SimulationError,
     chatterjee_weight,
     empirical_kolmogorov,
@@ -17,6 +20,8 @@ from steinchaos.simulate import (
     sample_Zn,
 )
 from steinchaos.tensors import GramSpace, tensor_power
+
+MiB = 2**20
 
 
 def test_fbm_unit_variance_all_h():
@@ -110,6 +115,129 @@ def test_zn_memory_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < count * n * 8
+
+
+def _oracle_fbm_blocks(H, n, count, seed, method="auto"):
+    """Deliberate oracle: the block sampler before chunked circulant
+    reduction and the worker pool, kept as it was apart from its input
+    checks and meta.  Each block is drawn whole (the circulant block as one
+    complex array, its rows interleaved into a second one) and the blocks
+    run one after another in block order."""
+    use_circulant = method == "circulant" or (method == "auto" and n >= CIRCULANT_MIN_N)
+    lam = simulate._circulant_eigs(H, n) if use_circulant else None
+
+    if lam is not None:
+        m = 2 * n
+        root = np.sqrt(lam)
+        draws = (BLOCK_ROWS + 1) // 2
+
+        def draw(rng):
+            z = np.empty((draws, m), dtype=complex)
+            z.real = rng.standard_normal((draws, m))
+            z.imag = rng.standard_normal((draws, m))
+            z *= root
+            y = np.fft.fft(z, axis=1, out=z)
+            y /= math.sqrt(m)
+            pair = np.empty((2 * draws, n))
+            pair[0::2] = y.real[:, :n]
+            pair[1::2] = y.imag[:, :n]
+            return pair
+
+    else:
+        factor = simulate._cholesky_factor(toeplitz(rho_values(H, n - 1)))
+
+        def draw(rng):
+            return rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
+
+    return (
+        (start, draw(simulate._stream(seed, start // BLOCK_ROWS))[: count - start])
+        for start in range(0, count, BLOCK_ROWS)
+    )
+
+
+def _oracle_increments(H, n, count, seed, method="auto"):
+    out = np.empty((count, n))
+    for start, rows in _oracle_fbm_blocks(H, n, count, seed, method):
+        out[start : start + BLOCK_ROWS] = rows
+    return out
+
+
+def _oracle_Zn(H, q, n, count, seed):
+    """Deliberate oracle: sample_Zn as it reduced whole blocks in turn."""
+    sums = np.empty(count)
+    for start, rows in _oracle_fbm_blocks(H, n, count, seed):
+        sums[start : start + BLOCK_ROWS] = hermite(q, rows).sum(axis=1)
+        del rows
+    return sums / (sigma(H, q) * math.sqrt(n))
+
+
+COUNTS = (0, 1, BLOCK_ROWS, BLOCK_ROWS + 7, 3 * BLOCK_ROWS + 1)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("n", (1025, 1100, 2048))
+def test_circulant_zn_matches_oracle(q, n):
+    # one full block and a partial one; an odd row count ends on a draw
+    # whose imaginary part is not used
+    for count in (1, BLOCK_ROWS + 7):
+        batch = sample_Zn(0.6, q, n, count, seed=31)
+        assert batch.meta["increments"] == "circulant-embedding"
+        assert np.array_equal(batch.values, _oracle_Zn(0.6, q, n, count, 31))
+
+
+@pytest.mark.parametrize("n", (1, 64, 300))
+def test_cholesky_zn_and_increments_match_oracle(n):
+    for count in COUNTS:
+        batch = sample_Zn(0.6, 2, n, count, seed=17)
+        assert np.array_equal(batch.values, _oracle_Zn(0.6, 2, n, count, 17))
+        inc = sample_fbm_increments(0.7, n, count, seed=17)
+        assert inc.meta["generator"] == "cholesky-toeplitz"
+        assert np.array_equal(inc.values, _oracle_increments(0.7, n, count, 17))
+
+
+def test_circulant_increments_match_oracle_at_every_count():
+    n = 1025
+    for count in COUNTS:
+        inc = sample_fbm_increments(0.3, n, count, seed=9)
+        assert inc.meta["generator"] == "circulant-embedding"
+        assert np.array_equal(inc.values, _oracle_increments(0.3, n, count, 9))
+
+
+def test_forced_cholesky_above_circulant_threshold_matches_oracle():
+    n, count = 1100, BLOCK_ROWS + 7
+    inc = sample_fbm_increments(0.3, n, count, seed=9, method="cholesky")
+    assert inc.meta["generator"] == "cholesky-toeplitz"
+    assert np.array_equal(inc.values, _oracle_increments(0.3, n, count, 9, "cholesky"))
+
+
+def test_samples_do_not_depend_on_worker_count(monkeypatch):
+    cases = ((0.6, 2, 64, 3 * BLOCK_ROWS + 1), (0.6, 3, 1025, BLOCK_ROWS + 7))
+    default = [sample_Zn(*case, seed=8).values for case in cases]
+    inc_default = sample_fbm_increments(0.3, 1025, BLOCK_ROWS + 7, seed=8).values
+    monkeypatch.setattr(simulate, "WORKERS", 1)
+    for case, values in zip(cases, default):
+        assert np.array_equal(sample_Zn(*case, seed=8).values, values)
+    assert np.array_equal(sample_fbm_increments(0.3, 1025, BLOCK_ROWS + 7, seed=8).values,
+                          inc_default)
+
+
+def _zn_peak(H, q, n, count, seed):
+    sample_Zn(H, q, n, 1, seed)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        sample_Zn(H, q, n, count, seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_circulant_zn_memory_bounded_by_workers_times_block(monkeypatch):
+    # one circulant block holds its real parts (2048 x 4096 doubles, 64 MiB)
+    # and one chunk; the whole-block draw peaked at 192 MiB on one thread
+    args = (0.6, 2, 2048, 20_000, 123)
+    assert _zn_peak(*args) < simulate.WORKERS * 80 * MiB
+    monkeypatch.setattr(simulate, "WORKERS", 1)
+    assert _zn_peak(*args) < 96 * MiB
 
 
 def test_empirical_kolmogorov_exact_values():
