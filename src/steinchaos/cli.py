@@ -15,10 +15,13 @@ simulate       Monte Carlo Z_n batch, empirical Kolmogorov distance against
 
 Every run writes one CSV data file (fixed column order, floats at 17
 significant digits, byte-identical across reruns of the same config) plus a
-manifest JSON echoing the config, versions and timings (simulate adds the
-sampler's generator, circulant fallback and worker count under
-"diagnostics").  Exit codes: 0 ok,
-2 config parse error, 3 precondition violation, 4 file I/O error.
+manifest JSON echoing the config, versions and timings.  Numerical
+diagnostics go under the manifest's "diagnostics" key, outside "result":
+simulate gives the sampler's generator, circulant fallback, Cholesky jitter
+and worker count; pearson gives the quadrature panel counts (panels taken
+from the batched Gauss-Kronrod rule, panels handed to scalar QUADPACK).
+Exit codes: 0 ok, 2 config parse error, 3 precondition violation, 4 file
+I/O error.
 """
 
 from __future__ import annotations
@@ -161,15 +164,20 @@ def _cmd_pearson(params: dict, out_dir: Path) -> dict:
     span = hi - lo
     xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid_size)
     header = ["x", "pdf", "tau"]
-    rows = [[float(x), float(density.pdf(x)), float(spec.tau(x))] for x in xs]
+    rows = np.column_stack([xs, density.pdf(xs), spec.tau(xs)]).tolist()
     _write_csv(out_dir / "pearson.csv", header, rows)
     ode = pearson_classify(spec)
+    moments = [density.moment(k) for k in range(5)]
     return {
         "files": ["pearson.csv"],
         "normalization": density.normalization,
-        "moments": [density.moment(k) for k in range(5)],
+        "moments": moments,
         "ode_derived": list(ode.derived),
         "ode_printed": list(ode.printed),
+        "diagnostics": {
+            "quad_panels": density.quad_panels,
+            "quad_fallbacks": density.quad_fallbacks,
+        },
     }
 
 
@@ -205,6 +213,7 @@ def _cmd_simulate(params: dict, out_dir: Path) -> dict:
     diagnostics = {
         "generator": batch.meta["increments"],
         "circulant_fallback": batch.meta["circulant_fallback"],
+        "cholesky_jitter": batch.meta["cholesky_jitter"],
         "workers": simulate.WORKERS,
     }
     return {"files": files, "ks": ks, "bound": report.bound, "diagnostics": diagnostics}

@@ -21,13 +21,21 @@ tau = 1 (standard normal, a = -inf, b = +inf) and tau = 2(x + nu)_+
 (centered Gamma on (-nu, inf)); quadratic tau is exactly the centered
 Pearson family.
 
-Numerics: expectations are QUADPACK integrals of the unnormalized weight
-exp(-I(x))/tau(x); I(x) is in closed form for quadratic tau and an adaptive
-integral otherwise; every finite endpoint gets the power substitution
+Numerics: expectations integrate the unnormalized weight exp(-I(x))/tau(x)
+over panels between the support ends, the origin, the caller's
+discontinuities and (for the Stein solution) neighbouring grid points.
+I(x) is in closed form for quadratic tau and an adaptive integral
+otherwise; every panel at a finite endpoint gets the power substitution
 x = endpoint +/- u^2, so the integrable singularity of the weight where tau
-vanishes linearly disappears.  The solution is evaluated from the left
-integral below the origin and from the right integral above it, keeping the
-ratio stable deep in the tails.
+vanishes linearly disappears.  All finite panels of one call go through
+QUADPACK's 21-point Gauss-Kronrod rule (dqk21: its nodes, weights,
+summation order and error estimate) in numpy, 128 panels per array
+operation.  A panel keeps that value only where scipy's quad would return
+the same first estimate without a relative-accuracy retry, both tests
+taken at half their tolerance so that rounding cannot tip a borderline
+panel; infinite tails and every other panel go to scalar QUADPACK.  The
+solution is evaluated from the left integral below the origin and from the
+right integral above it, keeping the ratio stable deep in the tails.
 """
 
 from __future__ import annotations
@@ -64,6 +72,39 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 _ENDPOINT_TOL = 1e-9
+
+# QUADPACK dqk21: Kronrod abscissae (the odd positions are the 10-point Gauss
+# nodes, the last is the centre), Kronrod weights and Gauss weights
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077971561680588, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# offsets of the 21 points from the panel centre, in half-lengths: the ten
+# points below it, the ten above, then the centre
+_NODES = np.concatenate([-_XGK[:10], _XGK[:10], _XGK[10:]])
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+# panels per numpy pass: 128 x 21 points keep every temporary array small
+# enough to be reused from the heap (a whole ~1200-panel grid in one pass
+# raised the peak resident memory of a Stein check by ~3 MB)
+_BATCH_PANELS = 128
 
 
 class PearsonError(Exception):
@@ -211,23 +252,66 @@ def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
     return np.linspace(lo + 1e-6 * span, hi - 1e-6 * span, count)
 
 
-def _split_points(lo: float, hi: float, points: Sequence[float]) -> list[float]:
-    cuts = sorted({float(p) for p in points if lo < p < hi} | {lo, hi})
-    if lo < 0.0 < hi:
-        cuts = sorted(set(cuts) | {0.0})
-    return cuts
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    """fn applied point by point: float in, float out; array in, array out."""
+
+    def apply(x):
+        x_arr = np.asarray(x, dtype=float)
+        out = np.array([fn(v) for v in x_arr.ravel().tolist()], dtype=float)
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+    return apply
+
+
+def _kronrod21(values: np.ndarray, hlgth: np.ndarray):
+    """QUADPACK dqk21 on each row of integrand values at centre + hlgth * _NODES.
+
+    Returns (result, abserr, resasc), computed in dqk21's order of
+    operations, so a row equals what dqk21 returns for the same values.
+    """
+    fv1, fv2, fc = values[:, :10], values[:, 10:20], values[:, 20]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first, as in dqk21
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr[scaled] / resasc[scaled]
+    abserr[scaled] = resasc[scaled] * np.minimum(1.0, ratio**1.5)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+    return result, abserr, resasc
 
 
 class DensityModel:
-    """Numeric density on (a, b): evaluator, normalization and quadrature."""
+    """Numeric density on (a, b): evaluator, normalization and quadrature.
+
+    The unnormalized weight takes a 1-d array of points inside (a, b) and
+    returns its values there.  quad_panels counts the panels integrated by
+    the batched 21-point rule, quad_fallbacks those handed to scalar
+    QUADPACK (infinite tails and panels the acceptance test refuses).
+    """
 
     def __init__(
         self,
         a: float,
         b: float,
-        unnormalized: Callable[[float], float],
+        unnormalized: Callable[[np.ndarray], np.ndarray],
         *,
-        tau: Callable[[float], float] | None = None,
+        tau: Callable | None = None,
     ):
         if not a < 0.0 < b:
             raise PearsonError(f"support must satisfy a < 0 < b, got ({a}, {b})")
@@ -235,7 +319,9 @@ class DensityModel:
         self.b = float(b)
         self._weight = unnormalized
         self.tau = tau
-        self.normalization = self._integrate_weight(lambda x: 1.0)
+        self.quad_panels = 0
+        self.quad_fallbacks = 0
+        self.normalization = float(self._integrate_weight(lambda x: 1.0, [a], [b])[0])
         if not (math.isfinite(self.normalization) and self.normalization > 0.0):
             raise PearsonError("density weight did not integrate to a positive value")
         mean = self.integrate(lambda x: x)
@@ -272,36 +358,100 @@ class DensityModel:
                     value = retry
         return value
 
-    def _panel(self, fn, lo, hi):
-        """Integral of fn * weight over [lo, hi].
+    def _integrand(self, fn, endpoint, sign):
+        """Scalar integrand of one panel: fn * weight in x, or, at a finite
+        endpoint, in u with x = endpoint + sign u^2."""
 
-        A panel that touches a finite endpoint e is integrated in u with
-        x = e + sign u^2 (sign pointing into the support).
-        """
-        if lo >= hi:
-            return 0.0
-        if math.isfinite(self.a) and lo == self.a:
-            endpoint, sign = self.a, 1.0
-        elif math.isfinite(self.b) and hi == self.b:
-            endpoint, sign = self.b, -1.0
-        else:
-            return self._quad_rel(lambda x: fn(x) * self._weight(x), lo, hi)
+        def weight(x):
+            return self._weight(np.array([x]))[0]
+
+        if endpoint is None:
+            return lambda x: fn(x) * weight(x)
 
         def sub(u):
             x = endpoint + sign * u * u
             if x == endpoint:  # u^2 under the float spacing at the endpoint
                 return 0.0
-            return 2.0 * u * fn(x) * self._weight(x)
+            return 2.0 * u * fn(x) * weight(x)
 
-        return self._quad_rel(sub, 0.0, math.sqrt(hi - lo))
+        return sub
 
-    def _integrate_weight(self, fn, lo=None, hi=None, points=()):
-        lo = self.a if lo is None else max(lo, self.a)
-        hi = self.b if hi is None else min(hi, self.b)
-        if lo >= hi:
-            return 0.0
-        cuts = _split_points(lo, hi, points)
-        return sum(self._panel(fn, u, v) for u, v in zip(cuts[:-1], cuts[1:]))
+    def _panels(self, fn, los, his) -> np.ndarray:
+        """int fn * weight over every panel [los[i], his[i]] inside the support.
+
+        A panel that touches a finite endpoint e is integrated in u with
+        x = e + sign u^2 (sign pointing into the support).  Finite panels
+        get dqk21, _BATCH_PANELS at a time; a panel keeps that value when
+        QUADPACK's dqagse would stop after it (abserr <= errbnd and
+        abserr != resasc, or abserr == 0) and _quad_rel would not retry (the
+        integrand is 0 at every node, or abserr <= 1e-11 |value|), both at
+        half tolerance.  The rest go to _quad_rel with the scalar integrand.
+        """
+        los = np.asarray(los, dtype=float)
+        his = np.asarray(his, dtype=float)
+        at_a = (los == self.a) & math.isfinite(self.a)
+        at_b = ~at_a & (his == self.b) & math.isfinite(self.b)
+        sub = at_a | at_b
+        ends = np.where(at_a, self.a, self.b)
+        signs = np.where(at_a, 1.0, -1.0)
+        t0 = np.where(sub, 0.0, los)
+        t1 = np.where(sub, np.sqrt(his - los), his)
+        out = np.zeros(los.size)
+        finite = np.isfinite(t0) & np.isfinite(t1)
+        refine = [np.flatnonzero(~finite)]
+        batch = np.flatnonzero(finite)
+        for start in range(0, batch.size, _BATCH_PANELS):
+            idx = batch[start : start + _BATCH_PANELS]
+            centr = 0.5 * (t0[idx] + t1[idx])
+            hlgth = 0.5 * (t1[idx] - t0[idx])
+            t = centr[:, None] + hlgth[:, None] * _NODES
+            isub = sub[idx, None]
+            iend = ends[idx, None]
+            x = np.where(isub, iend + signs[idx, None] * t * t, t)
+            live = ~(isub & (x == iend))
+            fvals = np.zeros_like(x)
+            wvals = np.zeros_like(x)
+            fvals[live] = [fn(v) for v in x[live].tolist()]
+            wvals[live] = self._weight(x[live])
+            values = np.where(isub, 2.0 * t * fvals * wvals, fvals * wvals)
+            result, abserr, resasc = _kronrod21(values, hlgth)
+            errbnd = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(result))
+            stops = ((abserr <= 0.5 * errbnd) & (abserr != resasc)) | (abserr == 0.0)
+            settled = (abserr <= 0.5e-11 * np.abs(result)) | ~values.any(axis=1)
+            keep = stops & settled & np.isfinite(result)
+            out[idx[keep]] = result[keep]
+            refine.append(idx[~keep])
+
+        refine = np.concatenate(refine)
+        for i in refine.tolist():
+            integrand = self._integrand(
+                fn, float(ends[i]) if sub[i] else None, float(signs[i])
+            )
+            out[i] = self._quad_rel(integrand, float(t0[i]), float(t1[i]))
+        self.quad_panels += los.size - refine.size
+        self.quad_fallbacks += refine.size
+        return out
+
+    def _integrate_weight(self, fn, los, his, points=()) -> np.ndarray:
+        """int fn * weight over each [lo, hi] cut to the support.
+
+        Each interval is split at the points and the origin strictly inside
+        it; the panels of all intervals go through one _panels call, and each
+        interval sums its panels in order.
+        """
+        los = np.maximum(np.asarray(los, dtype=float), self.a)
+        his = np.minimum(np.asarray(his, dtype=float), self.b)
+        cuts = np.unique(np.append(np.asarray(points, dtype=float), 0.0))
+        first = np.searchsorted(cuts, los, side="right")
+        inner = np.maximum(np.searchsorted(cuts, his, side="left") - first, 0)
+        count = np.where(los < his, inner + 1, 0)
+        owner = np.repeat(np.arange(los.size), count)
+        step = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        k = first[owner] + step  # cuts[k - 1], cuts[k] bound an inner panel
+        lo = np.where(step == 0, los[owner], cuts[k - 1])
+        hi = np.where(step == inner[owner], his[owner], cuts[np.minimum(k, cuts.size - 1)])
+        parts = self._panels(fn, lo, hi)
+        return np.bincount(owner, weights=parts, minlength=los.size)
 
     @classmethod
     def from_pdf(
@@ -313,11 +463,10 @@ class DensityModel:
         constructor), and strict positivity on an interior sample grid.  The
         model carries tau_from_density(model) as its tau.
         """
-        grid = _interior_grid(a, b, 129)
-        vals = np.array([pdf(float(x)) for x in grid])
-        if np.any(vals <= 0.0):
+        weight = _elementwise(pdf)
+        if np.any(weight(_interior_grid(a, b, 129)) <= 0.0):
             raise SupportError("density must be strictly positive inside (a, b)")
-        model = cls(a, b, pdf)
+        model = cls(a, b, weight)
         if abs(model.normalization - 1.0) > 1e-8:
             raise PearsonError(
                 f"density integrates to {model.normalization:.10f}, not 1"
@@ -332,13 +481,14 @@ class DensityModel:
         flat = np.atleast_1d(x_arr)
         out = np.zeros_like(flat)
         inside = (flat > self.a) & (flat < self.b)
-        for i in np.nonzero(inside)[0]:
-            out[i] = self._weight(float(flat[i])) / self.normalization
+        out[inside] = self._weight(flat[inside]) / self.normalization
         return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     def integrate(self, fn, lo=None, hi=None, points=()) -> float:
         """int fn(y) p(y) dy over (lo, hi) intersected with the support."""
-        return self._integrate_weight(fn, lo, hi, points) / self.normalization
+        lo = self.a if lo is None else lo
+        hi = self.b if hi is None else hi
+        return float(self._integrate_weight(fn, [lo], [hi], points)[0]) / self.normalization
 
     def moment(self, k: int) -> float:
         return self.integrate(lambda x: x**k)
@@ -360,8 +510,12 @@ class DensityModel:
 def _spec_density(spec: PearsonSpec) -> DensityModel:
     spec.check_explosion()
 
-    def weight(x: float) -> float:
-        return math.exp(-spec.exponent_integral(x)) / spec.quadratic(x)
+    def weight(x: np.ndarray) -> np.ndarray:
+        # libm's exp, not numpy's, which differs from it in the last bit on
+        # a few percent of arguments: u' near a finite endpoint divides by
+        # tau -> 0 and magnifies such bits into ~1e-10 relative changes
+        decay = [math.exp(-v) for v in spec.exponent_integral(x).tolist()]
+        return np.array(decay) / spec.quadratic(x)
 
     return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
 
@@ -395,11 +549,11 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
                 f"{'b' if sign > 0 else 'a'}: int y/tau reached only {nearest:.3g}"
             )
 
-    def weight(x: float) -> float:
-        return math.exp(-inner(x)) / tau_fn(x)
-
     return DensityModel(
-        a, b, weight, tau=lambda x: tau_fn(x) if a < x < b else 0.0
+        a,
+        b,
+        _elementwise(lambda x: math.exp(-inner(x)) / tau_fn(x)),
+        tau=_elementwise(lambda x: tau_fn(x) if a < x < b else 0.0),
     )
 
 
@@ -427,26 +581,32 @@ def _as_density(spec_or_density: PearsonSpec | DensityModel) -> DensityModel:
     return spec_or_density
 
 
-def tau_from_density(density: DensityModel) -> Callable[[float], float]:
-    """tau(x) = (int_x^b y p dy) / p(x) on (a, b), 0 outside.
+def tau_from_density(density: DensityModel) -> Callable:
+    """tau(x) = (int_x^b y p dy) / p(x) on (a, b), 0 outside; x may be an array.
 
     For x <= 0 the numerator equals -int_a^x y p dy by centering; that side
     is evaluated from the left, where the integrand keeps one sign, so the
     tiny tail values never come out of a cancellation.
     """
 
-    def tau(x: float) -> float:
-        if not density.a < x < density.b:
-            return 0.0
-        p = density.pdf(x)
-        if p <= 0.0:
-            # positivity inside the support is validated at construction;
-            # an exact zero here means the tail underflowed, i.e. x is
-            # beyond the numerically representable support
-            return 0.0
-        if x <= 0.0:
-            return -density.integrate(lambda y: y, hi=x) / p
-        return density.integrate(lambda y: y, lo=x) / p
+    def tau(x):
+        x_arr = np.asarray(x, dtype=float)
+        flat = np.atleast_1d(x_arr)
+        out = np.zeros_like(flat)
+        p = density.pdf(flat)
+        # positivity inside the support is validated at construction; an
+        # exact zero of p means the tail underflowed, i.e. x is beyond the
+        # numerically representable support, and tau is 0 there
+        live = (flat > density.a) & (flat < density.b) & (p > 0.0)
+        xs = flat[live]
+        left = xs <= 0.0
+        num = density._integrate_weight(
+            lambda y: y,
+            np.where(left, density.a, xs),
+            np.where(left, xs, density.b),
+        ) / density.normalization
+        out[live] = np.where(left, -num, num) / p[live]
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     return tau
 
@@ -517,18 +677,19 @@ class SteinSolution:
             return self._centered(x) / x
         return float(self.on_grid(np.array([x]))[0][0])
 
-    def u_prime(self, x: float, u_value: float | None = None) -> float:
-        """u'(x) inside (a, b) through the equation itself."""
-        if not self.a < x < self.b:
+    def u_prime(self, x, u_value=None):
+        """u'(x) inside (a, b) through the equation itself.
+
+        x may be an array, with u_value the array of u at x.
+        """
+        x_arr = np.asarray(x, dtype=float)
+        if np.any(x_arr <= self.a) or np.any(x_arr >= self.b):
             raise PearsonError("u' is only defined inside the support")
         if u_value is None:
             u_value = self.u(x)
-        return (self._centered(x) + x * u_value) / self.density.tau(x)
-
-    def _panel_integral(self, lo=None, hi=None) -> float:
-        return self.density.integrate(
-            self._centered, lo=lo, hi=hi, points=self.discontinuities
-        )
+        centered = np.array([self._centered(v) for v in x_arr.ravel().tolist()])
+        out = (centered.reshape(x_arr.shape) + x_arr * u_value) / self.density.tau(x_arr)
+        return float(out) if out.ndim == 0 else out
 
     def on_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, u') on an increasing interior grid, via cumulative panels.
@@ -538,6 +699,7 @@ class SteinSolution:
         Both sides are sums of same-scale panels, so the tiny tail values of
         the numerator keep their relative accuracy (a single prefix sum
         anchored on one side would cancel catastrophically on the other).
+        The panels of both sides are integrated in one batch.
         """
         xs = np.asarray(xs, dtype=float)
         if np.any(xs <= self.a) or np.any(xs >= self.b):
@@ -545,29 +707,19 @@ class SteinSolution:
         if np.any(np.diff(xs) <= 0):
             raise PearsonError("grid must be strictly increasing")
         nneg = int(np.sum(xs <= 0.0))
-        numerators = np.empty_like(xs)
-        if nneg:
-            acc = self._panel_integral(hi=xs[0])
-            numerators[0] = acc
-            for i in range(1, nneg):
-                acc += self._panel_integral(lo=xs[i - 1], hi=xs[i])
-                numerators[i] = acc
-        if nneg < xs.size:
-            acc = -self._panel_integral(lo=xs[-1])
-            numerators[-1] = acc
-            for i in range(xs.size - 2, nneg - 1, -1):
-                acc -= self._panel_integral(lo=xs[i], hi=xs[i + 1])
-                numerators[i] = acc
-        u_vals = np.array(
-            [
-                num / (self.density.tau(x) * self.density.pdf(x))
-                for x, num in zip(xs, numerators)
-            ]
+        # panel i of the left side is (edges[i], edges[i + 1]) for i < nneg;
+        # the right side skips the panel across the origin
+        edges = np.concatenate([[self.a], xs, [self.b]])
+        first = np.concatenate([np.arange(nneg), np.arange(nneg + 1, xs.size + 1)])
+        density = self.density
+        parts = density._integrate_weight(
+            self._centered, edges[first], edges[first + 1], self.discontinuities
+        ) / density.normalization
+        numerators = np.concatenate(
+            [np.cumsum(parts[:nneg]), np.cumsum(-parts[nneg:][::-1])[::-1]]
         )
-        du_vals = np.array(
-            [self.u_prime(x, u_value=u) for x, u in zip(xs, u_vals)]
-        )
-        return u_vals, du_vals
+        u_vals = numerators / (density.tau(xs) * density.pdf(xs))
+        return u_vals, self.u_prime(xs, u_vals)
 
 
 def stein_solve(
@@ -604,7 +756,7 @@ def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCh
                 np.concatenate([inner, [p - 1e-9 * span, p + 1e-9 * span]])
             )
     u_vals, du_vals = sol.on_grid(inner)
-    tau_vals = np.array([sol.density.tau(x) for x in inner])
+    tau_vals = sol.density.tau(inner)
     h_vals = np.array([sol.h(x) for x in inner])
     sup_xu = float(np.max(np.abs(inner * u_vals)))
     sup_tau_du = float(np.max(np.abs(tau_vals * du_vals)))

@@ -16,7 +16,10 @@ autocovariance rho_H; rows are drawn either through a Cholesky factor of
 the n x n Toeplitz covariance or, for long vectors, through circulant
 embedding of size 2n (exact in distribution whenever the embedding
 eigenvalues are nonnegative; otherwise it falls back to Cholesky and
-records the fallback in SampleBatch.meta["circulant_fallback"]).
+records the fallback in SampleBatch.meta["circulant_fallback"]).  A
+numerically singular covariance gets a diagonal jitter of at most 1e-10
+(relative to its diagonal) before the Cholesky factor succeeds;
+meta["cholesky_jitter"] records it, None on the circulant path.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from scipy.linalg import toeplitz
 
 from .breuer_major import BmInstance, rho_values, sigma
 from .chaos import hermite
+from .tensors import _jittered_cholesky
 
 __all__ = [
     "SimulationError",
@@ -68,16 +72,11 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(np.diag(cov)).max()) or 1.0
-    jitter = 0.0
-    while True:
-        try:
-            return np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter = 1e-15 if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-10:
-                raise SimulationError("covariance is numerically singular") from None
+def _cholesky_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky factor of an increment covariance and the jitter it needed."""
+    return _jittered_cholesky(
+        cov, 1e-15, 1e-10, SimulationError("covariance is numerically singular")
+    )
 
 
 def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
@@ -113,6 +112,7 @@ def _fbm_blocks(
     lam = _circulant_eigs(H, n) if use_circulant else None
     fallback = use_circulant and lam is None
 
+    jitter = None
     if lam is not None:
         m = 2 * n
         root = np.sqrt(lam)
@@ -137,7 +137,7 @@ def _fbm_blocks(
                 yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0, :n]
 
     else:
-        factor = _cholesky_factor(toeplitz(rho_values(H, n - 1)))
+        factor, jitter = _cholesky_factor(toeplitz(rho_values(H, n - 1)))
         generator = "cholesky-toeplitz"
 
         def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
@@ -152,6 +152,7 @@ def _fbm_blocks(
         "n": n,
         "count": count,
         "circulant_fallback": fallback,
+        "cholesky_jitter": jitter,
     }
 
     def pieces(start: int) -> Iterator[tuple[slice, np.ndarray]]:

@@ -94,6 +94,26 @@ def sorted_coeffs(dense: np.ndarray) -> dict[tuple[int, ...], float]:
     return out
 
 
+def _jittered_cholesky(
+    matrix: np.ndarray, start: float, ceiling: float, failure: Exception
+) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of matrix + jitter * max|diag| * I, and the jitter.
+
+    The jitter is 0 first, then start, then ten times the last try; failure
+    is raised once it would exceed ceiling.
+    """
+    scale = float(np.abs(np.diag(matrix)).max()) or 1.0
+    jitter = 0.0
+    while True:
+        try:
+            shifted = matrix + jitter * scale * np.eye(matrix.shape[0])
+            return np.linalg.cholesky(shifted), jitter
+        except np.linalg.LinAlgError:
+            jitter = start if jitter == 0.0 else jitter * 10.0
+            if jitter > ceiling:
+                raise failure from None
+
+
 class GramSpace:
     """Finite-dimensional model of the Hilbert space: R^d with metric G."""
 
@@ -133,20 +153,12 @@ class GramSpace:
         1e-12 (relative to the largest diagonal entry).
         """
         if self._chol is None:
-            scale = float(np.abs(np.diag(self.gram)).max()) or 1.0
-            jitter = 0.0
-            while True:
-                try:
-                    self._chol = np.linalg.cholesky(
-                        self.gram + jitter * scale * np.eye(self.dim)
-                    )
-                    break
-                except np.linalg.LinAlgError:
-                    jitter = 1e-16 if jitter == 0.0 else jitter * 10.0
-                    if jitter > MAX_JITTER:
-                        raise TensorError(
-                            "Cholesky failed within the permitted jitter budget"
-                        ) from None
+            self._chol, _ = _jittered_cholesky(
+                self.gram,
+                1e-16,
+                MAX_JITTER,
+                TensorError("Cholesky failed within the permitted jitter budget"),
+            )
         return self._chol
 
     def same_as(self, other: "GramSpace") -> bool:

@@ -98,6 +98,12 @@ def test_pearson_command(tmp_path):
     assert moments[2] == pytest.approx(2.0, abs=1e-6)
     header = (out / "pearson.csv").read_text().splitlines()[0]
     assert header == "x,pdf,tau"
+    # the Gamma target's right tail is infinite, so QUADPACK takes at least
+    # those panels; the counts stay out of "result"
+    diagnostics = manifest["diagnostics"]
+    assert set(diagnostics) == {"quad_panels", "quad_fallbacks"}
+    assert diagnostics["quad_panels"] > 0 and diagnostics["quad_fallbacks"] > 0
+    assert "diagnostics" not in manifest["result"]
 
 
 def test_simulate_command(tmp_path):
@@ -117,14 +123,16 @@ def test_simulate_command(tmp_path):
 
 
 def test_simulate_manifest_diagnostics(tmp_path):
-    for n, generator in ((8, "cholesky-toeplitz"), (1025, "circulant-embedding")):
+    for n, generator, jitter in ((8, "cholesky-toeplitz", 0.0),
+                                 (1025, "circulant-embedding", None)):
         config = {"command": "simulate",
                   "parameters": {"H": 0.6, "q": 2, "n": n, "count": 10, "seed": 1}}
         code, out = run_cli(tmp_path, config, out=f"n{n}")
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"] == {
-            "generator": generator, "circulant_fallback": False, "workers": simulate.WORKERS}
+            "generator": generator, "circulant_fallback": False,
+            "cholesky_jitter": jitter, "workers": simulate.WORKERS}
         assert "diagnostics" not in manifest["result"]
 
 

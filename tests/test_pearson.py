@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from steinchaos.pearson import (
+    _NODES,
     CenteringError,
     DensityModel,
     ExplosionError,
     PearsonError,
     PearsonSpec,
+    SteinSolution,
     SupportError,
+    _kronrod21,
     char_residual,
     density_from_tau,
     gamma_spec,
@@ -345,3 +349,205 @@ def test_char_residual_identities():
     assert abs(char_residual(dg, math.sin)) < 1e-7  # numerical derivative path
     d1 = density_from_tau(gamma_spec(1.0))
     assert char_residual(d1, lambda x: x, lambda x: 1.0) == pytest.approx(0.0, abs=1e-8)
+
+
+# ----------------------------------------------------------------------
+# batched Gauss-Kronrod panels against the scalar per-panel path
+# ----------------------------------------------------------------------
+
+
+def _oracle_panel(density, fn, lo, hi):
+    """Deliberate oracle: one scalar QUADPACK call per panel, as the
+    quadrature ran before the batched 21-point pass (the weight evaluated
+    one point at a time)."""
+    if lo >= hi:
+        return 0.0
+
+    def weight(x):
+        return density._weight(np.array([x]))[0]
+
+    if math.isfinite(density.a) and lo == density.a:
+        endpoint, sign = density.a, 1.0
+    elif math.isfinite(density.b) and hi == density.b:
+        endpoint, sign = density.b, -1.0
+    else:
+        return density._quad_rel(lambda x: fn(x) * weight(x), lo, hi)
+
+    def sub(u):
+        x = endpoint + sign * u * u
+        if x == endpoint:
+            return 0.0
+        return 2.0 * u * fn(x) * weight(x)
+
+    return density._quad_rel(sub, 0.0, math.sqrt(hi - lo))
+
+
+def _split_points(lo, hi, points):
+    cuts = sorted({float(p) for p in points if lo < p < hi} | {lo, hi})
+    if lo < 0.0 < hi:
+        cuts = sorted(set(cuts) | {0.0})
+    return cuts
+
+
+def _oracle_integrate_weight(density, fn, lo=None, hi=None, points=()):
+    """Deliberate oracle: the per-panel sum of the scalar path."""
+    lo = density.a if lo is None else max(lo, density.a)
+    hi = density.b if hi is None else min(hi, density.b)
+    if lo >= hi:
+        return 0.0
+    cuts = _split_points(lo, hi, points)
+    return sum(_oracle_panel(density, fn, u, v) for u, v in zip(cuts[:-1], cuts[1:]))
+
+
+def _oracle_integrate(density, fn, lo=None, hi=None, points=()):
+    return _oracle_integrate_weight(density, fn, lo, hi, points) / density.normalization
+
+
+def _oracle_on_grid(sol, xs):
+    """Deliberate oracle: SteinSolution.on_grid with one scalar panel
+    integral per grid interval and scalar u, u' per point."""
+    xs = np.asarray(xs, dtype=float)
+    d = sol.density
+
+    def panel(lo=None, hi=None):
+        return _oracle_integrate(d, sol._centered, lo, hi, sol.discontinuities)
+
+    nneg = int(np.sum(xs <= 0.0))
+    numerators = np.empty_like(xs)
+    if nneg:
+        acc = panel(hi=xs[0])
+        numerators[0] = acc
+        for i in range(1, nneg):
+            acc += panel(lo=xs[i - 1], hi=xs[i])
+            numerators[i] = acc
+    if nneg < xs.size:
+        acc = -panel(lo=xs[-1])
+        numerators[-1] = acc
+        for i in range(xs.size - 2, nneg - 1, -1):
+            acc -= panel(lo=xs[i], hi=xs[i + 1])
+            numerators[i] = acc
+    u = np.array([num / (d.tau(x) * d.pdf(x)) for x, num in zip(xs, numerators)])
+    du = np.array([(sol._centered(x) + x * v) / d.tau(x) for x, v in zip(xs, u)])
+    return u, du
+
+
+def _assert_close(actual, expected, rtol=1e-13):
+    # relative to each value, with a floor at rtol times the largest value
+    # for the points where the solution crosses zero
+    expected = np.asarray(expected, dtype=float)
+    floor = rtol * float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=floor)
+
+
+def _assert_check_matches_oracle(sol, grid_size, monkeypatch):
+    expected_h = _oracle_integrate(sol.density, sol.h, points=sol.discontinuities)
+    _assert_close(sol.expected_h, expected_h)
+    chk = stein_bound_check(sol, grid_size=grid_size)
+    with monkeypatch.context() as patch:
+        patch.setattr(SteinSolution, "on_grid", _oracle_on_grid)
+        patch.setattr(sol, "expected_h", expected_h)
+        oracle = stein_bound_check(sol, grid_size=grid_size)
+    for field in ("pass6", "passK"):
+        assert getattr(chk, field) is getattr(oracle, field)
+    for field in ("sup_xu", "sup_tau_du", "sup_h"):
+        _assert_close(getattr(chk, field), getattr(oracle, field))
+    lo, hi = sol.density.effective_range()
+    xs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 201)
+    xs = np.unique(np.concatenate([xs, [p for p in sol.discontinuities if lo < p < hi]]))
+    u, du = sol.on_grid(xs)
+    u0, du0 = _oracle_on_grid(sol, xs)
+    _assert_close(u, u0)
+    _assert_close(du, du0)
+
+
+STEIN_FUNCTIONS = [
+    (math.cos, ()),
+    (math.tanh, ()),
+    (lambda x: 1.0 if x <= 0.5 else 0.0, (0.5,)),
+    (lambda x: math.exp(-x * x), ()),
+    (lambda x: 0.5 if math.sin(2.0 * x) >= 0 else -0.5,
+     tuple(k * math.pi / 2.0 for k in range(-40, 41))),
+]
+
+
+@pytest.mark.parametrize("spec", [gaussian_spec(), gamma_spec(1.0), uniform_spec()],
+                         ids=["normal", "gamma1", "uniform"])
+def test_batched_stein_checks_match_scalar_oracle(spec, monkeypatch):
+    d = density_from_tau(spec)
+    assert d.normalization == pytest.approx(
+        _oracle_integrate_weight(d, lambda x: 1.0), rel=1e-13)
+    for k in range(5):
+        oracle = _oracle_integrate(d, lambda x, k=k: x**k)
+        assert abs(d.moment(k) - oracle) <= 1e-13 * max(abs(oracle), 1.0)
+    for h, disc in STEIN_FUNCTIONS:
+        _assert_check_matches_oracle(stein_solve(d, h, disc), 1201, monkeypatch)
+
+
+def test_batched_from_pdf_and_callable_tau_match_scalar_oracle(monkeypatch):
+    d = DensityModel.from_pdf(normal_pdf, -math.inf, math.inf)
+    xs = np.linspace(-7.0, 7.0, 29)
+    oracle_tau = [
+        (-_oracle_integrate(d, lambda y: y, hi=x) if x <= 0.0
+         else _oracle_integrate(d, lambda y: y, lo=x)) / d.pdf(x)
+        for x in xs.tolist()
+    ]
+    _assert_close(d.tau(xs), oracle_tau)
+    _assert_check_matches_oracle(stein_solve(d, math.tanh), 101, monkeypatch)
+
+    d = density_from_tau(lambda x: (1.0 - x * x) / 2.0, -1.0, 1.0)
+    step = lambda x: 1.0 if x <= 0.25 else 0.0  # noqa: E731
+    _assert_check_matches_oracle(stein_solve(d, step, (0.25,)), 101, monkeypatch)
+
+
+def test_kronrod21_port_matches_quadpack():
+    # dqk21 as QUADPACK runs it: on panels where quad stops after its first
+    # 21-point step, the batch rule gives its value and error estimate
+    rng = np.random.default_rng(2024)
+    lo = rng.uniform(-4.0, 4.0, 300)
+    hi = lo + 10.0 ** rng.uniform(-3.0, 0.7, 300)
+    freq = rng.uniform(0.1, 3.0, 300)
+
+    def f(x, c):
+        return math.exp(-0.5 * x * x) * math.cos(c * x) + 0.1 * x
+
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centr[:, None] + hlgth[:, None] * _NODES
+    values = np.array([[f(x, c) for x in row] for row, c in zip(nodes.tolist(), freq)])
+    result, abserr, _ = _kronrod21(values, hlgth)
+    first_step = 0
+    for i in range(lo.size):
+        value, err, info = quad(f, lo[i], hi[i], args=(freq[i],), full_output=1,
+                                epsabs=1e-12, epsrel=1e-12, limit=400)
+        if info["neval"] == 21:
+            first_step += 1
+            assert abs(result[i] - value) <= 4 * np.spacing(abs(value))
+            assert abserr[i] == pytest.approx(err, rel=1e-12)
+    assert 0 < first_step < lo.size
+
+
+def test_batch_acceptance_never_takes_a_panel_quadpack_refines():
+    # an accepted panel is one where quad stops after 21 points and the
+    # relative-accuracy retry does not run (wide tail panels need it)
+    d = density_from_tau(gaussian_spec())
+    rng = np.random.default_rng(7)
+    accepted = refined = 0
+    for _ in range(300):
+        lo = float(rng.uniform(-9.0, 9.0))
+        hi = lo + float(10.0 ** rng.uniform(-3.0, 0.8))
+        c = float(rng.uniform(0.1, 4.0))
+
+        def integrand(x, c=c):
+            return (math.cos(c * x) + 0.3) * d._weight(np.array([x]))[0]
+
+        before = d.quad_fallbacks
+        (value,) = d._panels(lambda x, c=c: math.cos(c * x) + 0.3, [lo], [hi])
+        _, _, info = quad(integrand, lo, hi, full_output=1,
+                          epsabs=1e-12, epsrel=1e-12, limit=400)
+        if d.quad_fallbacks == before:
+            accepted += 1
+            assert info["neval"] == 21
+            reference = DensityModel._quad_rel(integrand, lo, hi)
+            assert abs(value - reference) <= 4 * np.spacing(abs(reference))
+        else:
+            refined += 1
+    assert accepted > 0 and refined > 0

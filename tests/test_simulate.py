@@ -144,7 +144,7 @@ def _oracle_fbm_blocks(H, n, count, seed, method="auto"):
             return pair
 
     else:
-        factor = simulate._cholesky_factor(toeplitz(rho_values(H, n - 1)))
+        factor, _ = simulate._cholesky_factor(toeplitz(rho_values(H, n - 1)))
 
         def draw(rng):
             return rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
@@ -327,3 +327,16 @@ def test_bound_domination_small_grid():
         ks = empirical_kolmogorov(batch.values, ndtr)
         bound = bm_bound_exact(BmInstance(H, 2, n)).bound
         assert ks <= bound + allowance
+
+
+def test_cholesky_factor_reports_its_jitter():
+    cov = np.ones((3, 3))  # singular: needs jitter
+    factor, jitter = simulate._cholesky_factor(cov)
+    assert 1e-15 <= jitter <= 1e-10
+    assert np.array_equal(factor, np.linalg.cholesky(cov + jitter * np.eye(3)))
+    assert simulate._cholesky_factor(toeplitz(rho_values(0.7, 63)))[1] == 0.0
+    with pytest.raises(SimulationError):
+        simulate._cholesky_factor(np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]]))
+    assert sample_fbm_increments(0.7, 64, 1, seed=1).meta["cholesky_jitter"] == 0.0
+    assert sample_fbm_increments(0.7, CIRCULANT_MIN_N, 1, seed=1).meta[
+        "cholesky_jitter"] is None

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_gram, random_kernel
 from steinchaos.tensors import (
+    MAX_JITTER,
     GramSpace,
     InvalidContractionError,
     InvalidOrderError,
@@ -16,6 +17,7 @@ from steinchaos.tensors import (
     contract,
     gram_inner,
     raw_norm_sq,
+    _jittered_cholesky,
     symmetrize,
     tensor_power,
 )
@@ -221,6 +223,20 @@ def test_cholesky_with_borderline_matrix():
     space = GramSpace(g)
     L = space.cholesky()
     assert np.allclose(L @ L.T, g, atol=1e-10)
+
+
+def test_cholesky_jitter_from_the_shared_helper():
+    g = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, singular: needs jitter
+    L, jitter = _jittered_cholesky(g, 1e-16, MAX_JITTER, TensorError("budget"))
+    assert 1e-16 <= jitter <= MAX_JITTER
+    assert np.array_equal(L, np.linalg.cholesky(g + jitter * np.eye(2)))
+    assert np.array_equal(GramSpace(g).cholesky(), L)
+    well = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert _jittered_cholesky(well, 1e-16, MAX_JITTER, TensorError("budget"))[1] == 0.0
+    # indefinite by 2e-11: inside the PSD tolerance, beyond the jitter budget
+    bad = np.array([[1.0, 1.0 + 2e-11], [1.0 + 2e-11, 1.0]])
+    with pytest.raises(TensorError):
+        GramSpace(bad).cholesky()
 
 
 def test_kernel_json_round_trip():
