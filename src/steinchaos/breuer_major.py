@@ -20,11 +20,11 @@ Each P_x = rho^x (elementwise) is symmetric Toeplitz, so:
 - the four-cycle sums tr((P_r P_m)^2), all there is at q = 2, come from
   the diagonals of P_r P_m, seeded by two FFT Toeplitz products and walked
   by its displacement identity: O(n^2) time in O(n) memory;
-- the complete-graph sums that appear from q = 3 on collapse to sums over
-  three lags weighted by the number of grid positions that fit them:
-  O(n^3) time in O(n^2) memory.
+- the complete-graph sums that appear from q = 3 on are, for each of the
+  n lags of one index pair, FFT convolutions with rho^r over the other two
+  lags: O(n^2 log n) time in O(n) memory.
 
-Both run under an operation budget that counts what they visit.  The
+Both run under an operation budget that counts what they run.  The
 explicit kernel bm_kernel, fed to the generic tensor bounds, is the
 deliberate independent oracle for these formulas.
 """
@@ -89,23 +89,26 @@ class BmInstance:
     n: int
 
     def __post_init__(self):
-        if not 0.0 < self.H < 1.0:
-            raise BreuerMajorError(f"Hurst index must lie in (0,1), got {self.H}")
         if self.q < 2:
             raise BreuerMajorError(f"Hermite order must be >= 2, got {self.q}")
         if self.n < 1:
             raise BreuerMajorError(f"grid size must be >= 1, got {self.n}")
-        limit = (2 * self.q - 1) / (2 * self.q)
-        if self.H >= limit:
-            raise DivergenceError(
-                f"H = {self.H} >= (2q-1)/(2q) = {limit:g}: sigma diverges"
-            )
+        _check_hurst(self.H, self.q)
+
+
+def _check_hurst(H: float, q: int | None = None) -> None:
+    """H in (0, 1) and, given q, below the limit (2q-1)/(2q) where sigma diverges."""
+    if not 0.0 < H < 1.0:
+        raise BreuerMajorError(f"Hurst index must lie in (0,1), got {H}")
+    if q is not None and H >= (2 * q - 1) / (2 * q):
+        raise DivergenceError(
+            f"H = {H} >= (2q-1)/(2q) = {(2 * q - 1) / (2 * q):g}: sum rho_H^q diverges"
+        )
 
 
 def _rho_at(H: float, t: np.ndarray) -> np.ndarray:
     """rho_H at nonnegative lags t (float array)."""
-    if not 0.0 < H < 1.0:
-        raise BreuerMajorError(f"Hurst index must lie in (0,1), got {H}")
+    _check_hurst(H)
     return 0.5 * ((t + 1) ** (2 * H) + np.abs(t - 1) ** (2 * H) - 2 * t ** (2 * H))
 
 
@@ -144,12 +147,7 @@ def sigma(H: float, q: int) -> float:
     """sigma = sqrt((1/q!) sum_{t in Z} rho_H(t)^q), finite for H < (2q-1)/(2q)."""
     if q < 1:
         raise BreuerMajorError(f"Hermite order must be >= 1, got {q}")
-    if not 0.0 < H < 1.0:
-        raise BreuerMajorError(f"Hurst index must lie in (0,1), got {H}")
-    if H >= (2 * q - 1) / (2 * q):
-        raise DivergenceError(
-            f"sum rho_H^q diverges for H = {H} >= {(2 * q - 1) / (2 * q):g}"
-        )
+    _check_hurst(H, q)
     direct = float(np.sum(rho_values(H, SIGMA_DIRECT_TERMS)[1:] ** q))
     total = 1.0 + 2.0 * (direct + _rho_tail(H, q, SIGMA_DIRECT_TERMS))
     return math.sqrt(total / math.factorial(q))
@@ -193,19 +191,23 @@ def _bm_second_moment(inst: BmInstance, sig: float) -> float:
     return total / (math.factorial(inst.q) * sig**2 * inst.n)
 
 
-def _check_op_budget(inst: BmInstance, op_budget: int) -> None:
+def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
     """Refuse instances whose contraction sums exceed op_budget.
 
-    The estimate counts what _contraction_norms visits: the n^2 entries of
-    the product walked for each of the q // 2 distinct four-cycle sums, and
-    the (2n)^3 lag triples of each of the (q-1)(q-2)/2 complete-graph sums.
+    The estimate counts what _contraction_norms runs: the n^2 entries of the
+    product walked for each of the q // 2 distinct four-cycle sums, and for
+    each of the (q-1)(q-2)/2 complete-graph sums, n lags of six rffts of
+    length L = 2^bits >= 3n - 2, about 15 L log2(L) ops per lag.  Both are
+    O(n^2) up to the log, in O(n) memory.  Returns the estimate.
     """
     q, n = inst.q, inst.n
-    est_ops = q // 2 * n**2 + (q - 1) * (q - 2) // 2 * 8 * n**3
+    bits = (3 * n - 3).bit_length()
+    est_ops = q // 2 * n**2 + (q - 1) * (q - 2) // 2 * n * 15 * bits * 2**bits
     if est_ops > op_budget:
         raise ResourceGuardError(
             f"contraction sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
         )
+    return est_ops
 
 
 def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray,
@@ -261,43 +263,40 @@ def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _complete_graph(n: int, pr: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> float:
-    """sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_a[l,j] P_b[k,j] P_b[l,i] by lags.
+    """sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_a[l,j] P_b[k,j] P_b[l,i] by FFT.
 
-    With (u, v, w) = (l - k, i - k, j - k) the sum is
-
-        sum_{(u,v,w) in (-n,n)^3} max(0, n - span{0,u,v,w})
-            p_r(u) p_r(w-v) p_a(v) p_a(w-u) p_b(w) p_b(v-u),
-
-    where p_x(t) = pr[|t|] etc., zero for |t| >= n (the weight is 0 there).
-    The summand is even under (u,v,w) -> (-u,-v,-w), so u runs over
-    0 <= u < n, once for u = 0 and twice otherwise.  For u >= 0 the weight
-    is min(n + min(0,v,w) - u, max(0, n - span{0,v,w})) on the block
-    u - n < v, w < n and 0 outside it; C(v,w) = p_r(w-v) p_a(v) p_b(w) is
-    shared by every u.  O(n^3) time in O(n^2) memory.
+    With (u, v, w) = (l - k, i - k, j - k) and p_x(t) = px[|t|] (0 for
+    |t| >= n) the sum is sum_{u,v,w} W p_r(u) A_u(v) p_r(w-v) B_u(w), where
+    A_u(v) = p_a(v) p_b(v-u), B_u(w) = p_b(w) p_a(w-u) and W = n - span{0,u,v,w}
+    counts the grid positions that fit the lags; each pair of {0,u,v,w} is
+    the lag of one factor, so W needs no clip at 0.  The summand is even: u
+    runs over [0, n), twice for u > 0.  For u >= 0, W = (n - max(u,w)) +
+    min(0,v) on v <= w and (n - max(u,v)) + min(0,w) on v > w, so each half
+    is two causal convolutions with p_r (lags d >= 0, resp. d > 0) dotted
+    with B or A.  The dots are taken over rffts of a length >= 3n - 2, which
+    no convolution wraps; the rffts of p_r serve every u.  O(n^2 log n) time
+    in O(n) memory.
     """
-    def lagged(p):  # p_x(t) at t + 2n - 1, t in (-2n, 2n)
-        out = np.zeros(4 * n - 1)
-        out[n : 3 * n - 1] = np.concatenate([p[:0:-1], p])
-        return out
-
-    er, ea, eb = lagged(pr), lagged(pa), lagged(pb)
+    size = 1 << (3 * n - 3).bit_length()
+    ea = np.concatenate([pa[:0:-1], pa])  # p_a(t), t in (-n, n)
+    eb = np.concatenate([pb[:0:-1], pb])
     lags = np.arange(1 - n, n, dtype=float)
-    # C[v, w] with v, w in (-n, n); p_r(w - v) is a Toeplitz window of er
-    c_mat = sliding_window_view(er, 2 * n - 1)[2 * n - 1 : 0 : -1]
-    c_mat = c_mat * ea[n : 3 * n - 1, None] * eb[None, n : 3 * n - 1]
-    # grid positions that fit the lags: n - span{0,u,v,w} = min(low - u, fits)
-    low = n + np.minimum.outer(np.minimum(lags, 0.0), np.minimum(lags, 0.0))
-    fits = np.maximum(low - np.maximum.outer(np.maximum(lags, 0.0), lags), 0.0)
-    weight = np.empty_like(c_mat)
+    # sum_t x[t] y[t] = sum_f weight_f Re(conj(X_f) Y_f) over the rfft bins
+    weight = np.full(size // 2 + 1, 2.0 / size)
+    weight[[0, -1]] = 1.0 / size
+    ahead = weight * np.fft.rfft(pr, size)  # lags d >= 0
+    after = ahead - weight * pr[0]  # lags d > 0
     total = 0.0
     for u in range(n):
-        k = 2 * n - 1 - u
-        w_u = weight[:k, :k]
-        np.subtract(low[u:, u:], u, out=w_u)
-        np.minimum(w_u, fits[u:, u:], out=w_u)
-        w_u *= c_mat[u:, u:]
-        term = pr[u] * float(eb[n : n + k] @ w_u @ ea[n : n + k])
-        total += term if u == 0 else 2.0 * term
+        k = 2 * n - 1 - u  # v, w run over (u - n, n)
+        a, b = ea[u:] * eb[:k], eb[u:] * ea[:k]
+        near, low = n - np.maximum(lags[u:], u), np.minimum(lags[u:], 0.0)
+        fa, fb, fna, fnb, fla, flb = np.fft.rfft(
+            [a, b, near * a, near * b, low * a, low * b], size
+        )
+        term = (np.vdot(fnb, fa * ahead) + np.vdot(fb, fla * ahead)
+                + np.vdot(fna, fb * after) + np.vdot(fa, flb * after)).real
+        total += pr[u] * (term if u == 0 else 2.0 * term)
     return total
 
 
@@ -355,10 +354,7 @@ def bm_rate(H: float, q: int) -> tuple[float, str]:
     """
     if q < 2:
         raise BreuerMajorError(f"Hermite order must be >= 2, got {q}")
-    if not 0.0 < H < (2 * q - 1) / (2 * q):
-        raise BreuerMajorError(
-            f"H = {H} outside (0, {(2 * q - 1) / (2 * q):g})"
-        )
+    _check_hurst(H, q)
     if H <= 0.5:
         return 0.5, "n^(-1/2)"
     if H <= (2 * q - 3) / (2 * q - 2):
@@ -369,14 +365,14 @@ def bm_rate(H: float, q: int) -> tuple[float, str]:
 def bm_table(H: float, q: int, ns: list[int]) -> list[dict]:
     """Deterministic rows (one per n) for rate-regression experiments.
 
-    Every instance and its op budget are checked before any row is computed.
+    Every instance and its op budget are checked before any row is computed;
+    each row carries the guard's estimate as op_estimate.
     """
     exponent, regime = bm_rate(H, q)
     instances = [BmInstance(H, q, n) for n in ns]
-    for inst in instances:
-        _check_op_budget(inst, DEFAULT_OP_BUDGET)
+    estimates = [_check_op_budget(inst, DEFAULT_OP_BUDGET) for inst in instances]
     rows = []
-    for n, inst in zip(ns, instances):
+    for n, inst, estimate in zip(ns, instances, estimates):
         report = bm_bound_exact(inst)
         rows.append(
             {
@@ -389,6 +385,7 @@ def bm_table(H: float, q: int, ns: list[int]) -> list[dict]:
                 "rate_exponent": exponent,
                 "regime": regime,
                 "predicted": float(n) ** (-exponent),
+                "op_estimate": estimate,
             }
         )
     return rows

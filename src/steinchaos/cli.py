@@ -18,8 +18,10 @@ significant digits, byte-identical across reruns of the same config) plus a
 manifest JSON echoing the config, versions and timings.  Numerical
 diagnostics go under the manifest's "diagnostics" key, outside "result":
 simulate gives the sampler's generator, circulant fallback, Cholesky jitter
-and worker count; pearson gives the quadrature panel counts (panels taken
-from the batched Gauss-Kronrod rule, panels handed to scalar QUADPACK).
+and worker count; breuer-major gives the op budget of the contraction sums
+and each row's estimate against it; pearson gives the quadrature panel
+counts (panels taken from the batched Gauss-Kronrod rule, panels handed to
+scalar QUADPACK).
 Exit codes: 0 ok, 2 config parse error, 3 precondition violation, 4 file
 I/O error.
 """
@@ -41,7 +43,13 @@ from .bounds import (
     gamma_bound_single,
     gauss_bound_single,
 )
-from .breuer_major import BmInstance, BreuerMajorError, bm_bound_exact, bm_table
+from .breuer_major import (
+    DEFAULT_OP_BUDGET,
+    BmInstance,
+    BreuerMajorError,
+    bm_bound_exact,
+    bm_table,
+)
 from .chaos import ChaosError
 from .pearson import PearsonError, PearsonSpec, density_from_tau, pearson_classify
 from .simulate import SimulationError, empirical_kolmogorov, sample_Zn
@@ -90,6 +98,37 @@ def _require(params: dict, key: str):
     return params[key]
 
 
+def _number(key: str, value, kind: type):
+    """value as kind (int or float), else a ConfigError.
+
+    Numbers and numeric strings convert; an int parameter refuses a
+    non-integral value rather than truncate it.
+    """
+    number = value
+    if isinstance(value, str):
+        try:
+            number = kind(value)
+        except ValueError:
+            pass
+    if not isinstance(number, bool):
+        if kind is float and isinstance(number, (int, float)):
+            return float(number)
+        if isinstance(number, int) or (isinstance(number, float) and number.is_integer()):
+            return int(number)
+    noun = "a number" if kind is float else "an integer"
+    raise ConfigError(f"parameter {key!r} must be {noun}, got {value!r}")
+
+
+def _param(params: dict, key: str, kind, default=None):
+    """params[key] as kind: float, int or list[int]; required if default is None."""
+    value = _require(params, key) if default is None else params.get(key, default)
+    if kind != list[int]:
+        return _number(key, value, kind)
+    if not isinstance(value, list):
+        raise ConfigError(f"parameter {key!r} must be a list of integers, got {value!r}")
+    return [_number(key, v, int) for v in value]
+
+
 # column names of BoundReport.csv_row
 REPORT_HEADER = ["metric", "variance_term", "squared_total", "bound"]
 
@@ -104,7 +143,7 @@ def _cmd_bound(params: dict, out_dir: Path) -> dict:
 
 def _cmd_gamma(params: dict, out_dir: Path) -> dict:
     kernel = _load_kernel(Path(_require(params, "kernel")))
-    nu = float(_require(params, "nu"))
+    nu = _param(params, "nu", float)
     metric = params.get("metric", "h2")
     report = gamma_bound_single(kernel, nu, metric)
     _write_csv(out_dir / "gamma.csv", REPORT_HEADER, [report.csv_row()])
@@ -112,16 +151,20 @@ def _cmd_gamma(params: dict, out_dir: Path) -> dict:
 
 
 def _cmd_breuer_major(params: dict, out_dir: Path) -> dict:
-    H = float(_require(params, "H"))
-    q = int(_require(params, "q"))
-    ns = [int(n) for n in _require(params, "ns")]
+    H = _param(params, "H", float)
+    q = _param(params, "q", int)
+    ns = _param(params, "ns", list[int])
     rows_dicts = bm_table(H, q, ns)
     header = [
         "H", "q", "n", "variance_term", "squared_total", "kol_bound", "rate_exponent",
     ]
     rows = [[r[c] for c in header] for r in rows_dicts]
     _write_csv(out_dir / "breuer_major.csv", header, rows)
-    return {"files": ["breuer_major.csv"], "rows": len(rows)}
+    diagnostics = {
+        "op_budget": DEFAULT_OP_BUDGET,
+        "op_estimates": [r["op_estimate"] for r in rows_dicts],
+    }
+    return {"files": ["breuer_major.csv"], "rows": len(rows), "diagnostics": diagnostics}
 
 
 def _chi2_sequence(r: np.ndarray) -> np.ndarray:
@@ -131,7 +174,7 @@ def _chi2_sequence(r: np.ndarray) -> np.ndarray:
 
 
 def _cmd_chi2_example(params: dict, out_dir: Path) -> dict:
-    ns = [int(n) for n in params.get("ns", [16, 32, 64, 128, 256, 512])]
+    ns = _param(params, "ns", list[int], [16, 32, 64, 128, 256, 512])
     if any(n < 1 for n in ns):
         raise ConfigError("all n must be >= 1")
     metric = params.get("metric", "h1")
@@ -156,9 +199,9 @@ def _cmd_chi2_example(params: dict, out_dir: Path) -> dict:
 
 def _cmd_pearson(params: dict, out_dir: Path) -> dict:
     spec = PearsonSpec.from_json_obj(
-        {k: _require(params, k) for k in ("alpha", "beta", "gamma", "a", "b")}
+        {k: _param(params, k, float) for k in ("alpha", "beta", "gamma", "a", "b")}
     )
-    grid_size = int(params.get("grid", 401))
+    grid_size = _param(params, "grid", int, 401)
     density = density_from_tau(spec)
     lo, hi = density.effective_range()
     span = hi - lo
@@ -182,11 +225,11 @@ def _cmd_pearson(params: dict, out_dir: Path) -> dict:
 
 
 def _cmd_simulate(params: dict, out_dir: Path) -> dict:
-    H = float(_require(params, "H"))
-    q = int(_require(params, "q"))
-    n = int(_require(params, "n"))
-    count = int(params.get("count", 100_000))
-    seed = int(params.get("seed", 0))
+    H = _param(params, "H", float)
+    q = _param(params, "q", int)
+    n = _param(params, "n", int)
+    count = _param(params, "count", int, 100_000)
+    seed = _param(params, "seed", int, 0)
     inst = BmInstance(H, q, n)
     batch = sample_Zn(H, q, n, count, seed)
     report = bm_bound_exact(inst)

@@ -20,6 +20,7 @@ from steinchaos.breuer_major import (
     sigma,
     sigma_quadratic,
     _check_op_budget,
+    _complete_graph,
     _contraction_norms,
 )
 from steinchaos.bounds import gauss_bound_single
@@ -207,6 +208,27 @@ def test_bm_contraction_norms_match_dense_oracle():
                 fast = _contraction_norms(inst, sigma(H, q), DEFAULT_OP_BUDGET)
                 dense = _dense_contraction_norms(inst)
                 assert fast == pytest.approx(dense, rel=1e-12, abs=0.0), (q, H, n)
+
+
+@pytest.mark.parametrize("q, n", [(3, 1024), (4, 256)])
+def test_bm_contraction_norms_iid_at_scale(q, n):
+    # at H = 1/2 every P_x is the identity, so each four-index sum is n and
+    # every ||f ~x_r f||^2 is 1 / (q!^2 n); the default budget admits both
+    fast = _contraction_norms(BmInstance(0.5, q, n), sigma(0.5, q), DEFAULT_OP_BUDGET)
+    expected = 1.0 / (math.factorial(q) ** 2 * n)
+    assert fast == pytest.approx([expected] * (q - 1), rel=1e-12, abs=0.0)
+
+
+def test_complete_graph_memory_below_one_dense_matrix():
+    n = 1024
+    base = rho_values(0.6, n - 1)
+    tracemalloc.start()
+    try:
+        _complete_graph(n, base, base**2, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_bm_bound_memory_below_one_dense_matrix():

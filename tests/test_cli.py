@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from steinchaos import simulate
+from steinchaos.breuer_major import DEFAULT_OP_BUDGET
 from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
 from steinchaos.tensors import GramSpace, tensor_power
 
@@ -37,6 +38,17 @@ def test_breuer_major_command(tmp_path):
     assert bounds == pytest.approx([1.0, 0.5], abs=1e-12)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "breuer-major"
+
+
+def test_breuer_major_manifest_diagnostics(tmp_path):
+    # the guard's estimates: n^2 four-cycle entries at q = 2, n = 2 and 8
+    _, out = run_cli(
+        tmp_path,
+        {"command": "breuer-major", "parameters": {"H": 0.5, "q": 2, "ns": [2, 8]}},
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"] == {"op_budget": DEFAULT_OP_BUDGET, "op_estimates": [4, 64]}
+    assert "diagnostics" not in manifest["result"]
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -164,6 +176,26 @@ def test_unknown_command(tmp_path):
 def test_missing_parameter(tmp_path):
     code, _ = run_cli(tmp_path, {"command": "breuer-major", "parameters": {"H": 0.5}})
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, parameters",
+    [
+        ("breuer-major", {"H": "abc", "q": 2, "ns": [4]}),
+        ("breuer-major", {"H": 0.5, "q": 2, "ns": 8}),
+        ("breuer-major", {"H": 0.5, "q": 2, "ns": [16.5]}),
+        ("breuer-major", {"H": 0.5, "q": True, "ns": [4]}),
+        ("simulate", {"H": 0.5, "q": 2, "n": "x"}),
+        ("pearson", {"alpha": 0, "beta": 0, "gamma": 1, "a": "-inf", "b": "oops"}),
+        ("chi2-example", {"ns": [16, None]}),
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, capsys, command, parameters):
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad config" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_precondition_violation(tmp_path):
