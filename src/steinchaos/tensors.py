@@ -117,7 +117,7 @@ def _jittered_cholesky(
 class GramSpace:
     """Finite-dimensional model of the Hilbert space: R^d with metric G."""
 
-    __slots__ = ("dim", "gram", "_chol", "_is_identity")
+    __slots__ = ("dim", "gram", "_chol", "_jitter", "_is_identity")
 
     def __init__(self, gram: np.ndarray | Iterable[Iterable[float]]):
         g = np.array(gram, dtype=float)
@@ -135,6 +135,7 @@ class GramSpace:
         self.gram = g
         self.gram.setflags(write=False)
         self._chol: np.ndarray | None = None
+        self._jitter: float | None = None
         self._is_identity = bool(np.array_equal(g, np.eye(self.dim)))
 
     @classmethod
@@ -150,16 +151,23 @@ class GramSpace:
         """Lower-triangular L with L L^T = G.
 
         Numerically borderline matrices get a diagonal jitter of at most
-        1e-12 (relative to the largest diagonal entry).
+        1e-12 (relative to the largest diagonal entry); ``cholesky_jitter``
+        records the one applied.
         """
         if self._chol is None:
-            self._chol, _ = _jittered_cholesky(
+            self._chol, self._jitter = _jittered_cholesky(
                 self.gram,
                 1e-16,
                 MAX_JITTER,
                 TensorError("Cholesky failed within the permitted jitter budget"),
             )
         return self._chol
+
+    @property
+    def cholesky_jitter(self) -> float | None:
+        """Relative diagonal jitter of the Cholesky factor: None until
+        ``cholesky()`` has run, 0.0 when the Gram matrix factored as given."""
+        return self._jitter
 
     def same_as(self, other: "GramSpace") -> bool:
         return self is other or (

@@ -7,12 +7,19 @@ pairing.  Everything here is independent of the tensor-contraction bound
 machinery, which is the whole point: the two paths check each other.
 
 A polynomial in d variables is a dict mapping exponent tuples of length d
-to coefficients.  Sizes stay small (exact_moment guards degree * power <= 16
-and the monomial products of the last convolution), so plain dict
-convolution is fast enough.
+to coefficients; the dict routines build and transform such polynomials.
+
+``poly_power_expectation`` is the moment oracle proper.  It never forms
+p^s: with a = floor(s/2) and b = s - a it convolves exponent arrays up to
+p^b in numpy and sums c_P c_Q mu(e_P + e_Q) over the monomials P of p^a and
+Q of p^b, one Gaussian moment matrix built in row blocks.  ``poly_pow``
+followed by ``poly_gaussian_expectation`` computes the same number by dict
+convolution and is kept as its test oracle.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 Poly = dict  # exponent tuple -> coefficient
 
@@ -27,7 +34,12 @@ __all__ = [
     "monic_hermite_poly",
     "gaussian_monomial_moment",
     "poly_gaussian_expectation",
+    "poly_power_expectation",
 ]
+
+# Entries of one row block of the moment matrix in poly_power_expectation:
+# caps its working memory at a few arrays of this size.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def poly_const(nvars: int, c: float) -> Poly:
@@ -63,6 +75,11 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def poly_pow(p: Poly, s: int) -> Poly:
+    """p^s by repeated dict convolution.
+
+    With ``poly_gaussian_expectation`` this is the test oracle for
+    ``poly_power_expectation``, which never forms p^s.
+    """
     if s < 0:
         raise ValueError("polynomial power must be >= 0")
     nvars = len(next(iter(p))) if p else 0
@@ -133,8 +150,69 @@ def gaussian_monomial_moment(exponents: tuple[int, ...]) -> float:
 
 
 def poly_gaussian_expectation(p: Poly) -> float:
-    """E[p(X)] for X a standard Gaussian vector."""
+    """E[p(X)] for X a standard Gaussian vector.
+
+    Applied to ``poly_pow(p, s)`` it is the test oracle for
+    ``poly_power_expectation(p, s)``.
+    """
     total = 0.0
     for mono, coef in p.items():
         total += coef * gaussian_monomial_moment(mono)
     return total
+
+
+def _array_mul(
+    e1: np.ndarray, c1: np.ndarray, e2: np.ndarray, c2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product of two polynomials in exponent-array form, equal monomials
+    merged and exact zeros dropped."""
+    exps = (e1[:, None, :] + e2[None, :, :]).reshape(-1, e1.shape[1])
+    unique, inverse = np.unique(exps, axis=0, return_inverse=True)
+    coefs = np.bincount(
+        inverse.reshape(-1), weights=np.outer(c1, c2).reshape(-1), minlength=len(unique)
+    )
+    keep = coefs != 0.0
+    return unique[keep], coefs[keep]
+
+
+def poly_power_expectation(p: Poly, s: int) -> float:
+    """E[p(X)^s] for X a standard Gaussian vector.
+
+    With a = floor(s/2) and b = s - a, E[p^s] = sum over the monomials P of
+    p^a and Q of p^b of c_P c_Q mu(e_P + e_Q), where mu(e) = prod_i
+    (e_i - 1)!! is 0 as soon as one exponent is odd.  The matrix of mu is
+    built in row blocks of at most _BLOCK_ENTRIES entries, one variable at a
+    time, and contracted with both coefficient vectors.
+    """
+    if s < 0:
+        raise ValueError("polynomial power must be >= 0")
+    if s == 0:
+        return 1.0
+    if not p:
+        return 0.0
+    nvars = len(next(iter(p)))
+    exps = np.array(list(p), dtype=np.int64).reshape(len(p), nvars)
+    coefs = np.fromiter(p.values(), dtype=float, count=len(p))
+    a, b = s // 2, s - s // 2
+    # p^0 = 1, the constant monomial
+    powers = [(np.zeros((1, nvars), dtype=np.int64), np.ones(1)), (exps, coefs)]
+    for _ in range(2, b + 1):
+        powers.append(_array_mul(*powers[-1], exps, coefs))
+    (ea, ca), (eb, cb) = powers[a], powers[b]
+    if not len(ca) or not len(cb):
+        return 0.0
+    top = int(ea.max()) + int(eb.max())
+    table = np.array(
+        [0.0 if k % 2 else _double_factorial(k - 1) for k in range(top + 1)]
+    )
+    ea_cols, eb_cols = ea.T.copy(), eb.T.copy()
+    rows = max(1, _BLOCK_ENTRIES // len(cb))
+    total = 0.0
+    for start in range(0, len(ca), rows):
+        blk = slice(start, start + rows)
+        moments = table[ea_cols[0, blk, None] + eb_cols[0]]
+        for j in range(1, nvars):
+            moments *= table[ea_cols[j, blk, None] + eb_cols[j]]
+        total += float(ca[blk] @ (moments @ cb))
+    # 0.0 rather than -0.0 when every moment vanishes
+    return total + 0.0

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from steinchaos.chaos import (
     ou_semigroup,
     product,
 )
-from steinchaos.tensors import GramSpace, gram_inner, symmetrize, tensor_power
+from steinchaos.tensors import GramSpace, contract, gram_inner, symmetrize, tensor_power
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -170,6 +171,67 @@ def test_exact_moment_matches_monte_carlo(plane):
     vals = F.eval(xi)
     m2 = exact_moment(F, 2)
     assert np.mean(vals**2) == pytest.approx(m2, abs=4 * np.std(vals**2) / np.sqrt(len(vals)))
+
+
+def _fourth_cumulant(f):
+    """kappa_4(I_q f) = (3/q) sum_{r=1}^{q-1} r r!^2 C(q,r)^4 (2q-2r)! ||f ~x_r f||^2
+    (Nourdin-Peccati), from the contraction code alone."""
+    q = f.order
+    total = 0.0
+    for r in range(1, q):
+        g = symmetrize(f.space, contract(f, f, r))
+        weight = r * math.factorial(r) ** 2 * math.comb(q, r) ** 4 * math.factorial(2 * q - 2 * r)
+        total += weight * gram_inner(g, g)
+    return 3.0 / q * total
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_fourth_moment_matches_contraction_formula(q, d):
+    # E[F^4] = kappa_4 + 3 m_2^2; d = 6 at q = 4 is the largest case the guard admits
+    rng = np.random.default_rng(100 * q + d)
+    f = random_kernel(random_gram(d, rng), q, rng)
+    m2 = math.factorial(q) * gram_inner(f, f)
+    expected = _fourth_cumulant(f) + 3.0 * m2**2
+    assert exact_moment(single(f), 4) == pytest.approx(expected, rel=1e-12)
+
+
+def test_power_expectation_matches_dict_oracle():
+    rng = np.random.default_rng(23)
+    space = random_gram(3, rng)
+    for orders in ((1, 2), (2, 3)):
+        F = ChaosVector.build(space, 0.7, [random_kernel(space, q, rng) for q in orders])
+        p = F.to_polynomial()
+        for s in range(6):
+            oracle = wick.poly_gaussian_expectation(wick.poly_pow(p, s))
+            assert wick.poly_power_expectation(p, s) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_odd_moments_of_odd_chaos_are_exactly_zero():
+    rng = np.random.default_rng(29)
+    space = random_gram(4, rng)
+    F = ChaosVector.build(space, 0.0, [random_kernel(space, q, rng) for q in (1, 3)])
+    for s in (1, 3, 5):
+        assert exact_moment(F, s) == 0.0
+    assert exact_moment(F, 4) > 0.0
+
+
+def test_exact_moment_at_guard_reach_is_fast_and_small():
+    # d = 6, q = 4, s = 4: the guard counts C(14, 6)^2 ~ 9.0e6 moment-matrix
+    # entries, just under WICK_TERM_GUARD; the matrix is built in row blocks
+    rng = np.random.default_rng(31)
+    F = single(random_kernel(random_gram(6, rng), 4, rng))
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        value = exact_moment(F, 4)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and value > 0.0
+    assert elapsed < 1.0
+    assert peak < 48 * 2**20
 
 
 # ----------------------------------------------------------------------

@@ -239,6 +239,21 @@ def test_cholesky_jitter_from_the_shared_helper():
         GramSpace(bad).cholesky()
 
 
+def test_gram_space_records_cholesky_jitter():
+    singular = GramSpace(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert singular.cholesky_jitter is None
+    L = singular.cholesky()
+    assert 0.0 < singular.cholesky_jitter <= MAX_JITTER
+    assert np.array_equal(
+        L, np.linalg.cholesky(singular.gram + singular.cholesky_jitter * np.eye(2))
+    )
+    well = GramSpace(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    well.cholesky()
+    assert well.cholesky_jitter == 0.0
+    with pytest.raises(AttributeError):
+        well.cholesky_jitter = 1e-13
+
+
 def test_kernel_json_round_trip():
     rng = np.random.default_rng(8)
     space = random_gram(3, rng)
