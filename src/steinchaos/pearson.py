@@ -27,15 +27,16 @@ discontinuities and (for the Stein solution) neighbouring grid points.
 I(x) is in closed form for quadratic tau and an adaptive integral
 otherwise; every panel at a finite endpoint gets the power substitution
 x = endpoint +/- u^2, so the integrable singularity of the weight where tau
-vanishes linearly disappears.  All finite panels of one call go through
-QUADPACK's 21-point Gauss-Kronrod rule (dqk21: its nodes, weights,
-summation order and error estimate) in numpy, 128 panels per array
-operation.  A panel keeps that value only where scipy's quad would return
-the same first estimate without a relative-accuracy retry, both tests
-taken at half their tolerance so that rounding cannot tip a borderline
-panel; infinite tails and every other panel go to scalar QUADPACK.  The
-solution is evaluated from the left integral below the origin and from the
-right integral above it, keeping the ratio stable deep in the tails.
+vanishes linearly disappears.  Every panel goes through a port of
+QUADPACK's adaptive driver (steinchaos._quadpack: dqagse with the 21-point
+rule dqk21 on finite panels, dqagie with the transformed 15-point rule
+dqk15i on infinite tails), which returns what scipy's quad returns on the
+same integrand values; scipy's quad itself is left only in the exponent
+integral of a callable tau.  The first rule step of all panels of one call runs in numpy, 128
+panels per array operation; the panels it does not settle are bisected
+further, each bisection one vector call of the weight.  The solution is
+evaluated from the left integral below the origin and from the right
+integral above it, keeping the ratio stable deep in the tails.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+
+from ._quadpack import DQK21, finite_step, first_step_done, gauss_kronrod, qag, tail_step
 
 __all__ = [
     "PearsonError",
@@ -72,35 +75,8 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 _ENDPOINT_TOL = 1e-9
-
-# QUADPACK dqk21: Kronrod abscissae (the odd positions are the 10-point Gauss
-# nodes, the last is the centre), Kronrod weights and Gauss weights
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077971561680588, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-# offsets of the 21 points from the panel centre, in half-lengths: the ten
-# points below it, the ten above, then the centre
-_NODES = np.concatenate([-_XGK[:10], _XGK[:10], _XGK[10:]])
-_EPMACH = float(np.finfo(float).eps)
-_UFLOW = float(np.finfo(float).tiny)
+# dqk21's nodes, in half-lengths from the panel centre
+_NODES = DQK21.nodes
 # panels per numpy pass: 128 x 21 points keep every temporary array small
 # enough to be reused from the heap (a whole ~1200-panel grid in one pass
 # raised the peak resident memory of a Stein check by ~3 MB)
@@ -264,45 +240,43 @@ def _elementwise(fn: Callable[[float], float]) -> Callable:
 
 
 def _kronrod21(values: np.ndarray, hlgth: np.ndarray):
-    """QUADPACK dqk21 on each row of integrand values at centre + hlgth * _NODES.
-
-    Returns (result, abserr, resasc), computed in dqk21's order of
-    operations, so a row equals what dqk21 returns for the same values.
-    """
-    fv1, fv2, fc = values[:, :10], values[:, 10:20], values[:, 20]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first, as in dqk21
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
-    dhlgth = np.abs(hlgth)
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    scaled = (resasc != 0.0) & (abserr != 0.0)
-    ratio = 200.0 * abserr[scaled] / resasc[scaled]
-    abserr[scaled] = resasc[scaled] * np.minimum(1.0, ratio**1.5)
-    floor = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[floor] = np.maximum((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+    """QUADPACK dqk21 on each row of integrand values at centre + hlgth * _NODES:
+    (result, abserr, resasc)."""
+    result, abserr, _, resasc = gauss_kronrod(values, hlgth, DQK21)
     return result, abserr, resasc
+
+
+def _needs_retry(value, err):
+    """Where a QUADPACK result misses the relative accuracy _relative_accuracy
+    asks for; floats or arrays."""
+    return (value != 0.0) & (err > 1e-11 * np.abs(value))
+
+
+def _relative_accuracy(run) -> float:
+    """The value of run(epsabs) -> (value, abserr), a QUADPACK integration at
+    epsrel = 1e-12, with a relative-accuracy retry.
+
+    QUADPACK stops as soon as the absolute tolerance is met, which for tiny
+    tail integrals can mean a single coarse panel; rerunning with the
+    absolute tolerance rescaled to the first estimate restores relative
+    accuracy there.  Truly cancelling integrals cannot reach the relative
+    target; the better of the two error estimates wins.
+    """
+    value, err = run(_QUAD_OPTS["epsabs"])
+    if _needs_retry(value, err):
+        retry, retry_err = run(1e-12 * abs(value))
+        if retry_err < err:
+            value = retry
+    return value
 
 
 class DensityModel:
     """Numeric density on (a, b): evaluator, normalization and quadrature.
 
     The unnormalized weight takes a 1-d array of points inside (a, b) and
-    returns its values there.  quad_panels counts the panels integrated by
-    the batched 21-point rule, quad_fallbacks those handed to scalar
-    QUADPACK (infinite tails and panels the acceptance test refuses).
+    returns its values there.  quad_panels counts the panels settled by the
+    batched first QUADPACK step, quad_fallbacks those the QUADPACK port
+    bisects further (see _panels).
     """
 
     def __init__(
@@ -332,104 +306,108 @@ class DensityModel:
 
     @staticmethod
     def _quad_rel(integrand, lo, hi):
-        """quad with a relative-accuracy retry for results under the abs floor.
+        """_relative_accuracy on scipy's quad with a scalar integrand.
 
-        QUADPACK stops as soon as the absolute tolerance is met, which for
-        tiny tail integrals can mean a single coarse panel; rerunning with
-        the absolute tolerance rescaled to the first estimate restores
-        relative accuracy there.  Truly cancelling integrals cannot reach
-        the relative target; the better of the two error estimates wins.
+        The deliberate test oracle of _panels, which runs the same rule on
+        the vector port of QUADPACK; the library calls it nowhere else.
         """
         with warnings.catch_warnings():
             # roundoff-level warnings are expected at these tolerances; the
-            # retry below and the callers' own checks control accuracy
+            # retry and the callers' own checks control accuracy
             warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(integrand, lo, hi, **_QUAD_OPTS)
-            if value != 0.0 and err > 1e-11 * abs(value):
-                retry, retry_err = quad(
+            return _relative_accuracy(
+                lambda epsabs: quad(
                     integrand,
                     lo,
                     hi,
-                    epsabs=1e-12 * abs(value),
-                    epsrel=1e-12,
+                    epsabs=epsabs,
+                    epsrel=_QUAD_OPTS["epsrel"],
                     limit=_QUAD_OPTS["limit"],
                 )
-                if retry_err < err:
-                    value = retry
-        return value
-
-    def _integrand(self, fn, endpoint, sign):
-        """Scalar integrand of one panel: fn * weight in x, or, at a finite
-        endpoint, in u with x = endpoint + sign u^2."""
-
-        def weight(x):
-            return self._weight(np.array([x]))[0]
-
-        if endpoint is None:
-            return lambda x: fn(x) * weight(x)
-
-        def sub(u):
-            x = endpoint + sign * u * u
-            if x == endpoint:  # u^2 under the float spacing at the endpoint
-                return 0.0
-            return 2.0 * u * fn(x) * weight(x)
-
-        return sub
+            )
 
     def _panels(self, fn, los, his) -> np.ndarray:
         """int fn * weight over every panel [los[i], his[i]] inside the support.
 
-        A panel that touches a finite endpoint e is integrated in u with
-        x = e + sign u^2 (sign pointing into the support).  Finite panels
-        get dqk21, _BATCH_PANELS at a time; a panel keeps that value when
-        QUADPACK's dqagse would stop after it (abserr <= errbnd and
-        abserr != resasc, or abserr == 0) and _quad_rel would not retry (the
-        integrand is 0 at every node, or abserr <= 1e-11 |value|), both at
-        half tolerance.  The rest go to _quad_rel with the scalar integrand.
+        Each panel is integrated in a variable t: x = e + sign t^2 on a panel
+        that touches a finite endpoint e (sign pointing into the support),
+        x = c + sign (1 - t)/t for t in (0, 1] on a tail from c to an
+        infinite end (QUADPACK's dqagie map) and x = t on any other panel.
+        The first QUADPACK step, dqk21 or dqk15i on a tail, runs on
+        _BATCH_PANELS panels at a time.  A panel keeps that value where
+        dqagse or dqagie would stop there and _relative_accuracy would not
+        rerun; the rest continue in the QUADPACK port, each bisection one
+        call of the weight on the nodes of both halves, and give what
+        _quad_rel gives on the scalar integrand.
         """
         los = np.asarray(los, dtype=float)
         his = np.asarray(his, dtype=float)
         at_a = (los == self.a) & math.isfinite(self.a)
         at_b = ~at_a & (his == self.b) & math.isfinite(self.b)
         sub = at_a | at_b
-        ends = np.where(at_a, self.a, self.b)
-        signs = np.where(at_a, 1.0, -1.0)
-        t0 = np.where(sub, 0.0, los)
-        t1 = np.where(sub, np.sqrt(his - los), his)
-        out = np.zeros(los.size)
-        finite = np.isfinite(t0) & np.isfinite(t1)
-        refine = [np.flatnonzero(~finite)]
-        batch = np.flatnonzero(finite)
-        for start in range(0, batch.size, _BATCH_PANELS):
-            idx = batch[start : start + _BATCH_PANELS]
-            centr = 0.5 * (t0[idx] + t1[idx])
-            hlgth = 0.5 * (t1[idx] - t0[idx])
-            t = centr[:, None] + hlgth[:, None] * _NODES
-            isub = sub[idx, None]
-            iend = ends[idx, None]
-            x = np.where(isub, iend + signs[idx, None] * t * t, t)
-            live = ~(isub & (x == iend))
+        up = np.isinf(his)
+        tail = up | np.isinf(los)
+        ends = np.select([at_a, at_b, up], [self.a, self.b, los], his)
+        signs = np.where(at_a | up, 1.0, -1.0)
+        t0 = np.where(sub | tail, 0.0, los)
+        t1 = np.select([sub, tail], [np.sqrt(his - los), 1.0], his)
+
+        def fn_weight(x, live):
             fvals = np.zeros_like(x)
             wvals = np.zeros_like(x)
             fvals[live] = [fn(v) for v in x[live].tolist()]
             wvals[live] = self._weight(x[live])
-            values = np.where(isub, 2.0 * t * fvals * wvals, fvals * wvals)
-            result, abserr, resasc = _kronrod21(values, hlgth)
-            errbnd = np.maximum(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * np.abs(result))
-            stops = ((abserr <= 0.5 * errbnd) & (abserr != resasc)) | (abserr == 0.0)
-            settled = (abserr <= 0.5e-11 * np.abs(result)) | ~values.any(axis=1)
-            keep = stops & settled & np.isfinite(result)
-            out[idx[keep]] = result[keep]
-            refine.append(idx[~keep])
+            return fvals, wvals
 
-        refine = np.concatenate(refine)
-        for i in refine.tolist():
-            integrand = self._integrand(
-                fn, float(ends[i]) if sub[i] else None, float(signs[i])
+        def step(idx, lo, hi):
+            # the first rule over [lo[k], hi[k]] in the t of panel idx[k];
+            # the panels are all tails or none
+            end = ends[idx, None]
+            sign = signs[idx, None]
+            if tail[idx[0]]:
+
+                def tail_values(x):
+                    fvals, wvals = fn_weight(x, np.full(x.shape, True))
+                    return fvals * wvals
+
+                return tail_step(tail_values, end, sign, lo, hi)
+            isub = sub[idx, None]
+
+            def values(t):
+                x = np.where(isub, end + sign * t * t, t)
+                fvals, wvals = fn_weight(x, ~(isub & (x == end)))
+                return np.where(isub, 2.0 * t * fvals * wvals, fvals * wvals)
+
+            return finite_step(values, lo, hi)
+
+        out = np.zeros(los.size)
+        refine = []
+        for kind in (False, True):
+            panels = np.flatnonzero(tail == kind)
+            for start in range(0, panels.size, _BATCH_PANELS):
+                idx = panels[start : start + _BATCH_PANELS]
+                first = step(idx, t0[idx], t1[idx])
+                result, abserr = first[:2]
+                _, done = first_step_done(*first, _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"])
+                settled = done & ~_needs_retry(result, abserr)
+                out[idx[settled]] = result[settled]
+                refine.extend(zip(idx[~settled].tolist(), np.column_stack(first)[~settled].tolist()))
+
+        for i, first in refine:
+            pair = np.array([i, i])
+            out[i] = _relative_accuracy(
+                lambda epsabs: qag(
+                    lambda lo, hi: step(pair, lo, hi),
+                    float(t0[i]),
+                    float(t1[i]),
+                    epsabs,
+                    _QUAD_OPTS["epsrel"],
+                    _QUAD_OPTS["limit"],
+                    first,
+                )[:2]
             )
-            out[i] = self._quad_rel(integrand, float(t0[i]), float(t1[i]))
-        self.quad_panels += los.size - refine.size
-        self.quad_fallbacks += refine.size
+        self.quad_panels += los.size - len(refine)
+        self.quad_fallbacks += len(refine)
         return out
 
     def _integrate_weight(self, fn, los, his, points=()) -> np.ndarray:
@@ -494,17 +472,23 @@ class DensityModel:
         return self.integrate(lambda x: x**k)
 
     def effective_range(self) -> tuple[float, float]:
-        """Interval outside which the density drops below ~1e-16."""
+        """Interval outside which the density drops below ~1e-16.
+
+        An infinite end becomes the first of +-0.5, +-1, ..., +-60 where the
+        density is at most 1e-16, or +-60.
+        """
+        steps = 0.5 * np.arange(1, 121)
         lo, hi = self.a, self.b
         if not math.isfinite(lo):
-            lo = -0.5
-            while self.pdf(lo) > 1e-16 and lo > -60.0:
-                lo -= 0.5
+            lo = self._first_negligible(-steps)
         if not math.isfinite(hi):
-            hi = 0.5
-            while self.pdf(hi) > 1e-16 and hi < 60.0:
-                hi += 0.5
+            hi = self._first_negligible(steps)
         return lo, hi
+
+    def _first_negligible(self, candidates: np.ndarray) -> float:
+        negligible = ~(self.pdf(candidates) > 1e-16)
+        negligible[-1] = True  # the cap
+        return float(candidates[np.argmax(negligible)])
 
 
 def _spec_density(spec: PearsonSpec) -> DensityModel:

@@ -153,8 +153,8 @@ def test_exact_moment_guard(plane):
 
 
 def test_exact_moment_guard_counts_dimension():
-    # q * s = 16 passes the degree guard, but at d = 7 the last convolution
-    # needs C(19, 7) * C(11, 7) ~ 1.7e7 monomial products (~15 s to expand)
+    # q * s = 16 passes the degree guard, but at d = 7 the moment matrix has
+    # C(15, 7)^2 ~ 4.1e7 entries, above WICK_TERM_GUARD = 1e7
     space = GramSpace.standard(7)
     F = single(random_kernel(space, 4, np.random.default_rng(3)))
     started = time.perf_counter()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from steinchaos import pearson
+from steinchaos._quadpack import (
+    DQK15I,
+    DQK21,
+    _gauss_kronrod_floats,
+    finite_step,
+    gauss_kronrod,
+    qag,
+    tail_step,
+)
+from steinchaos.cli import main
 from steinchaos.pearson import (
     _NODES,
     CenteringError,
@@ -551,3 +563,139 @@ def test_batch_acceptance_never_takes_a_panel_quadpack_refines():
         else:
             refined += 1
     assert accepted > 0 and refined > 0
+
+
+# ----------------------------------------------------------------------
+# the QUADPACK port against scipy's quad
+# ----------------------------------------------------------------------
+
+
+def _pointwise(f):
+    # one scalar call per node, so the port and quad see the same values
+    return lambda xs: np.array([f(v) for v in xs.ravel().tolist()]).reshape(xs.shape)
+
+
+def _integrand_families(c, k):
+    return [
+        lambda x: math.exp(-0.5 * x * x) * math.cos(k * x) + 0.1 * x,
+        lambda x: abs(x - c) ** -0.5 if x != c else 0.0,
+        lambda x: abs(x - c) ** -0.9 if x != c else 0.0,
+        lambda x: math.log(abs(x - c)) if x != c else 0.0,
+        lambda x: 1.0 if x <= c else -0.3,
+        lambda x: math.sin(20.0 * k * x) * math.exp(-0.1 * abs(x)),
+    ]
+
+
+def _assert_port_matches_quad(f, lo, hi, epsabs, seen, limit=400):
+    if math.isinf(hi):
+        npts, a, b = 15, 0.0, 1.0
+        step = lambda u, v: tail_step(_pointwise(f), lo, 1.0, u, v)  # noqa: E731
+    elif math.isinf(lo):
+        npts, a, b = 15, 0.0, 1.0
+        step = lambda u, v: tail_step(_pointwise(f), hi, -1.0, u, v)  # noqa: E731
+    else:
+        npts, a, b = 21, lo, hi
+        step = lambda u, v: finite_step(_pointwise(f), u, v)  # noqa: E731
+    result, abserr, last, ier = qag(step, a, b, epsabs, 1e-12, limit)
+    out = quad(f, lo, hi, full_output=1, epsabs=epsabs, epsrel=1e-12, limit=limit)
+    value, err, info = out[:3]
+    assert abs(result - value) <= 4 * np.spacing(abs(value))
+    assert abs(abserr - err) <= 4 * np.spacing(err)
+    assert npts * (2 * last - 1) == info["neval"]
+    assert (ier != 0) == (len(out) == 4)  # quad adds a message when ier != 0
+    seen["first step"] += last == 1
+    seen["refined"] += last > 1
+    seen["ier != 0"] += ier != 0
+    return value
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quadpack_driver_matches_scipy_quad():
+    # dqagse on 300 finite panels and dqagie on 200 tails, half of them
+    # also at the rescaled tolerance of the relative-accuracy retry, and a
+    # third at limit 30, where dqpsrt's partial sort (last > limit/2 + 2)
+    # and the limit exit come within a few bisections
+    rng = np.random.default_rng(13)
+    seen = dict.fromkeys(("first step", "refined", "ier != 0"), 0)
+    for case in range(500):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(10.0 ** rng.uniform(-2.0, 1.0))
+        c = float(rng.uniform(lo - 0.2, hi + 0.2))
+        k = float(rng.uniform(0.2, 3.0))
+        tail = case >= 300
+        f = _integrand_families(c, 0.1 * k if tail else k)[case % 6]
+        if tail:  # decaying, and oscillating ten times slower
+            f = lambda x, g=f: g(x) * math.exp(-0.3 * abs(x))  # noqa: E731
+            lo, hi = (lo, math.inf) if case % 2 else (-math.inf, hi)
+        value = _assert_port_matches_quad(f, lo, hi, 1e-12, seen)
+        if case % 2 and value != 0.0:
+            _assert_port_matches_quad(f, lo, hi, 1e-12 * abs(value), seen)
+        if case % 3 == 0:
+            _assert_port_matches_quad(f, lo, hi, 1e-12, seen, limit=30)
+    assert all(seen.values()), seen
+
+
+def test_kronrod15i_port_matches_quadpack():
+    # dqk15i as dqagie runs it first: on tails where quad stops after 15
+    # points, the rule on x = bound +- (1 - t)/t gives its value and error
+    rng = np.random.default_rng(2025)
+    bound = rng.uniform(-4.0, 4.0, 200)
+    sign = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    scale = rng.uniform(0.5, 4.0, 200)
+
+    def f(x, s):
+        return math.exp(-s * x * x)
+
+    t = 0.5 + 0.5 * DQK15I.nodes
+    nodes = bound[:, None] + sign[:, None] * (1.0 - t) / t
+    values = np.array([[f(x, s) for x in row] for row, s in zip(nodes.tolist(), scale)])
+    result, abserr, _, _ = gauss_kronrod(values / t / t, np.full(200, 0.5), DQK15I)
+    first_step = 0
+    for i in range(bound.size):
+        lo, hi = (bound[i], math.inf) if sign[i] > 0 else (-math.inf, bound[i])
+        value, err, info = quad(f, lo, hi, args=(scale[i],), full_output=1,
+                                epsabs=1e-12, epsrel=1e-12, limit=400)[:3]
+        if info["neval"] == 15:
+            first_step += 1
+            assert abs(result[i] - value) <= 4 * np.spacing(abs(value))
+            assert abserr[i] == pytest.approx(err, rel=1e-12)
+    assert 0 < first_step < bound.size
+
+
+def test_float_rule_matches_numpy_rule_bitwise():
+    # the few-row path of gauss_kronrod (a bisection) against the numpy
+    # path that batches run, dqk21 through _kronrod21, on the same rows
+    rng = np.random.default_rng(31)
+    for rows in (9, 40, 128):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+        hlgth = 10.0 ** rng.uniform(-9.0, 1.0, rows)
+        values = rng.standard_normal((rows, 21)) * scale
+        values[::5, ::3] = 0.0  # exact zeros, as on panels at an endpoint
+        values[::7] = 1.0  # constant rows: zero error, the resasc paths
+        result, abserr, resabs, resasc = _gauss_kronrod_floats(values, hlgth, DQK21)
+        expected = _kronrod21(values, hlgth)
+        for got, want in zip((result, abserr, resasc), expected):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(resabs, gauss_kronrod(values, hlgth, DQK21)[2])
+        values = values[:, :15]
+        for got, want in zip(_gauss_kronrod_floats(values, hlgth, DQK15I),
+                             gauss_kronrod(values, hlgth, DQK15I)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", [gaussian_spec(), gamma_spec(1.0), uniform_spec()],
+                         ids=["normal", "gamma1", "uniform"])
+def test_spec_targets_make_no_scipy_quad_call(spec, tmp_path, monkeypatch):
+    # the benchmark's Stein checks, the square wave and the pearson command
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy quad called")
+
+    monkeypatch.setattr(pearson, "quad", refuse)
+    d = density_from_tau(spec)
+    for h, disc in STEIN_FUNCTIONS:
+        chk = stein_bound_check(stein_solve(d, h, disc))
+        assert chk.pass6 and chk.passK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "pearson",
+                                  "parameters": dict(spec.to_json_obj(), grid=51)}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
