@@ -1,4 +1,4 @@
-"""QUADPACK's adaptive Gauss-Kronrod driver, with vector rule evaluations.
+"""QUADPACK's adaptive Gauss-Kronrod integrators, with vector rule evaluations.
 
 A port of dqagse (a finite interval, bisected with the 21-point rule dqk21)
 and dqagie (one infinite end, the 15-point rule dqk15i on the map
@@ -213,7 +213,7 @@ def qag(step, a: float, b: float, epsabs: float, epsrel: float, limit: int, firs
     """dqagse on [a, b], or dqagie with a = 0, b = 1, through a rule step.
 
     step(lo, hi) returns (result, abserr, resabs, resasc) arrays for the
-    intervals [lo[k], hi[k]]; the driver calls it once with both halves of
+    intervals [lo[k], hi[k]]; qag calls it once with both halves of
     each bisection.  first, if given, is the step's output on [a, b] as
     floats, which the caller may have computed in a batch.  Returns
     (result, abserr, last, ier): scipy's neval is (2 last - 1) times the

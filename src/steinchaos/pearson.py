@@ -28,15 +28,16 @@ I(x) is in closed form for quadratic tau and an adaptive integral
 otherwise; every panel at a finite endpoint gets the power substitution
 x = endpoint +/- u^2, so the integrable singularity of the weight where tau
 vanishes linearly disappears.  Every panel goes through a port of
-QUADPACK's adaptive driver (steinchaos._quadpack: dqagse with the 21-point
-rule dqk21 on finite panels, dqagie with the transformed 15-point rule
-dqk15i on infinite tails), which returns what scipy's quad returns on the
-same integrand values; scipy's quad itself is left only in the exponent
-integral of a callable tau.  The first rule step of all panels of one call runs in numpy, 128
-panels per array operation; the panels it does not settle are bisected
-further, each bisection one vector call of the weight.  The solution is
-evaluated from the left integral below the origin and from the right
-integral above it, keeping the ratio stable deep in the tails.
+QUADPACK's adaptive integrators (steinchaos._quadpack: dqagse with the
+21-point rule dqk21 on finite panels, dqagie with the transformed 15-point
+rule dqk15i on infinite tails), which return what scipy's quad returns on
+the same integrand values; scipy's quad itself is left only in the
+exponent integral of a callable tau.  The first rule step of all panels of
+one call runs in numpy, 128 panels per array operation; the panels it does
+not settle are bisected further, each bisection one vector call of the
+weight.  The solution is evaluated from the left integral below the
+origin and from the right integral above it, keeping the ratio stable
+deep in the tails.
 """
 
 from __future__ import annotations

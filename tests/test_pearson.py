@@ -610,7 +610,7 @@ def _assert_port_matches_quad(f, lo, hi, epsabs, seen, limit=400):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_quadpack_driver_matches_scipy_quad():
+def test_quadpack_port_matches_scipy_quad():
     # dqagse on 300 finite panels and dqagie on 200 tails, half of them
     # also at the rescaled tolerance of the relative-accuracy retry, and a
     # third at limit 30, where dqpsrt's partial sort (last > limit/2 + 2)
