@@ -18,15 +18,19 @@ of rho powers.  One routine serves every q and builds no n x n matrix.
 Each P_x = rho^x (elementwise) is symmetric Toeplitz, so:
 
 - the four-cycle sums tr((P_r P_m)^2), all there is at q = 2, come from
-  the diagonals of P_r P_m, seeded by two FFT Toeplitz products and walked
-  by its displacement identity: O(n^2) time in O(n) memory;
+  the diagonals of P_r P_m, seeded by two FFT Toeplitz products (numpy
+  rffts of a circulant embedding) and walked by its displacement
+  identity: O(n^2) time in O(n) memory;
 - the complete-graph sums that appear from q = 3 on are, for each of the
   n lags of one index pair, FFT convolutions with rho^r over the other two
   lags: O(n^2 log n) time in O(n) memory.
 
 Both run under an operation budget that counts what they run.  The
 explicit kernel bm_kernel, fed to the generic tensor bounds, is the
-deliberate independent oracle for these formulas.
+deliberate independent oracle for these formulas.  The Toeplitz matrices
+and products are numpy code (scipy.linalg's toeplitz and matmul_toeplitz
+are their test oracle); only sigma's tail imports scipy, its Hurwitz zeta,
+on the first call.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import matmul_toeplitz, toeplitz
-from scipy.special import zeta
 
 from .bounds import BoundReport, _assemble, _pair_coeff
 from .tensors import GramSpace, SymKernel
@@ -130,6 +132,8 @@ def _rho_tail(H: float, q: int, horizon: int) -> float:
     so the tail is a combination of Hurwitz zeta values at s, s+2, s+4 with
     s = q(2-2H) > 1.  The neglected term is O(horizon^{1-s-6}).
     """
+    from scipy.special import zeta
+
     a = 2.0 * H
     amp = 0.5 * a * (a - 1.0)
     if amp == 0.0:
@@ -172,7 +176,7 @@ def bm_chaos_scale(inst: BmInstance) -> float:
 def bm_gram(inst: BmInstance) -> GramSpace:
     """Gram space of the raw increments: G[k, l] = n^{-2H} rho_H(k - l)."""
     vals = rho_values(inst.H, inst.n - 1) * inst.n ** (-2.0 * inst.H)
-    return GramSpace(toeplitz(vals))
+    return GramSpace(_toeplitz(vals))
 
 
 def bm_kernel(inst: BmInstance) -> SymKernel:
@@ -210,6 +214,25 @@ def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
     return est_ops
 
 
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix T[i, j] = c[|i - j|] (a copy of c's entries)."""
+    n = c.size
+    return sliding_window_view(np.concatenate([c[::-1], c[1:]]), n)[::-1].copy()
+
+
+def _toeplitz_product(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric Toeplitz T with first column c, by FFT.
+
+    T is embedded in the circulant of first column [c, c[n-1], ..., c[1]]
+    (length 2n - 1), whose product with x zero-padded to that length holds
+    T x in its first n entries: O(n log n) time.
+    """
+    n = c.size
+    size = 2 * n - 1
+    embedded = np.fft.rfft(np.concatenate([c, c[:0:-1]]))
+    return np.fft.irfft(embedded * np.fft.rfft(x, size), size)[:n]
+
+
 def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray,
                        d0: int, d1: int) -> np.ndarray:
     """Diagonals d0 <= d < d1 of X Y, X and Y symmetric Toeplitz.
@@ -245,8 +268,8 @@ def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
     WALK_BLOCK entries, so memory stays O(n).
     """
     n = a.size
-    row_ab = matmul_toeplitz((b, b), a)
-    row_ba = row_ab if a is b else matmul_toeplitz((a, a), b)
+    row_ab = _toeplitz_product(b, a)
+    row_ba = row_ab if a is b else _toeplitz_product(a, b)
     step = max(1, WALK_BLOCK // n)
     total = 0.0
     for d0 in range(0, n, step):

@@ -24,6 +24,11 @@ counts (panels taken from the batched Gauss-Kronrod rule, panels handed to
 scalar QUADPACK).
 Exit codes: 0 ok, 2 config parse error, 3 precondition violation, 4 file
 I/O error.
+
+Each run is a fresh process, so imports are part of its cost.  Importing
+this module loads no scipy module: bound, gamma, chi2-example and pearson
+call none, and breuer-major and simulate import scipy.special (zeta for
+sigma's tail, ndtr for the KS distance) on their first call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import __version__, simulate
 from .bounds import (
@@ -225,6 +229,8 @@ def _cmd_pearson(params: dict, out_dir: Path) -> dict:
 
 
 def _cmd_simulate(params: dict, out_dir: Path) -> dict:
+    from scipy.special import ndtr
+
     H = _param(params, "H", float)
     q = _param(params, "q", int)
     n = _param(params, "n", int)

@@ -32,12 +32,12 @@ QUADPACK's adaptive integrators (steinchaos._quadpack: dqagse with the
 21-point rule dqk21 on finite panels, dqagie with the transformed 15-point
 rule dqk15i on infinite tails), which return what scipy's quad returns on
 the same integrand values; scipy's quad itself is left only in the
-exponent integral of a callable tau.  The first rule step of all panels of
-one call runs in numpy, 128 panels per array operation; the panels it does
-not settle are bisected further, each bisection one vector call of the
-weight.  The solution is evaluated from the left integral below the
-origin and from the right integral above it, keeping the ratio stable
-deep in the tails.
+exponent integral of a callable tau, and is imported on its first call.
+The first rule step of all panels of one call runs in numpy, 128 panels
+per array operation; the panels it does not settle are bisected further,
+each bisection one vector call of the weight.  The solution is evaluated
+from the left integral below the origin and from the right integral above
+it, keeping the ratio stable deep in the tails.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from ._quadpack import DQK21, finite_step, first_step_done, gauss_kronrod, qag, tail_step
 
@@ -222,6 +221,16 @@ def uniform_spec() -> PearsonSpec:
     return PearsonSpec(-0.5, 0.0, 0.5, -1.0, 1.0)
 
 
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Spec targets never call it, so importing pearson loads no scipy.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
     lo = a if math.isfinite(a) else min(-12.0, -1.0)
     hi = b if math.isfinite(b) else max(12.0, 1.0)
@@ -312,6 +321,8 @@ class DensityModel:
         The deliberate test oracle of _panels, which runs the same rule on
         the vector port of QUADPACK; the library calls it nowhere else.
         """
+        from scipy.integrate import IntegrationWarning
+
         with warnings.catch_warnings():
             # roundoff-level warnings are expected at these tolerances; the
             # retry and the callers' own checks control accuracy
@@ -327,8 +338,9 @@ class DensityModel:
                 )
             )
 
-    def _panels(self, fn, los, his) -> np.ndarray:
-        """int fn * weight over every panel [los[i], his[i]] inside the support.
+    def _panels(self, fn, los, his, shift=0.0) -> np.ndarray:
+        """int (fn - shift) * weight over every panel [los[i], his[i]] inside
+        the support.
 
         Each panel is integrated in a variable t: x = e + sign t^2 on a panel
         that touches a finite endpoint e (sign pointing into the support),
@@ -356,7 +368,7 @@ class DensityModel:
         def fn_weight(x, live):
             fvals = np.zeros_like(x)
             wvals = np.zeros_like(x)
-            fvals[live] = [fn(v) for v in x[live].tolist()]
+            fvals[live] = np.array([fn(v) for v in x[live].tolist()], dtype=float) - shift
             wvals[live] = self._weight(x[live])
             return fvals, wvals
 
@@ -411,8 +423,8 @@ class DensityModel:
         self.quad_fallbacks += len(refine)
         return out
 
-    def _integrate_weight(self, fn, los, his, points=()) -> np.ndarray:
-        """int fn * weight over each [lo, hi] cut to the support.
+    def _integrate_weight(self, fn, los, his, points=(), shift=0.0) -> np.ndarray:
+        """int (fn - shift) * weight over each [lo, hi] cut to the support.
 
         Each interval is split at the points and the origin strictly inside
         it; the panels of all intervals go through one _panels call, and each
@@ -429,7 +441,7 @@ class DensityModel:
         k = first[owner] + step  # cuts[k - 1], cuts[k] bound an inner panel
         lo = np.where(step == 0, los[owner], cuts[k - 1])
         hi = np.where(step == inner[owner], his[owner], cuts[np.minimum(k, cuts.size - 1)])
-        parts = self._panels(fn, lo, hi)
+        parts = self._panels(fn, lo, hi, shift)
         return np.bincount(owner, weights=parts, minlength=los.size)
 
     @classmethod
@@ -506,6 +518,8 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
 
 
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
+    from scipy.integrate import IntegrationWarning
+
     @lru_cache(maxsize=100_000)
     def inner(x: float) -> float:
         return quad(lambda y: y / tau_fn(y), 0.0, x, **_QUAD_OPTS)[0]
@@ -672,7 +686,8 @@ class SteinSolution:
             raise PearsonError("u' is only defined inside the support")
         if u_value is None:
             u_value = self.u(x)
-        centered = np.array([self._centered(v) for v in x_arr.ravel().tolist()])
+        h_vals = np.array([self.h(v) for v in x_arr.ravel().tolist()], dtype=float)
+        centered = h_vals - self.expected_h
         out = (centered.reshape(x_arr.shape) + x_arr * u_value) / self.density.tau(x_arr)
         return float(out) if out.ndim == 0 else out
 
@@ -698,7 +713,8 @@ class SteinSolution:
         first = np.concatenate([np.arange(nneg), np.arange(nneg + 1, xs.size + 1)])
         density = self.density
         parts = density._integrate_weight(
-            self._centered, edges[first], edges[first + 1], self.discontinuities
+            self.h, edges[first], edges[first + 1], self.discontinuities,
+            shift=self.expected_h,
         ) / density.normalization
         numerators = np.concatenate(
             [np.cumsum(parts[:nneg]), np.cumsum(-parts[nneg:][::-1])[::-1]]

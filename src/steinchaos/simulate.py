@@ -19,7 +19,9 @@ eigenvalues are nonnegative; otherwise it falls back to Cholesky and
 records the fallback in SampleBatch.meta["circulant_fallback"]).  A
 numerically singular covariance gets a diagonal jitter of at most 1e-10
 (relative to its diagonal) before the Cholesky factor succeeds;
-meta["cholesky_jitter"] records it, None on the circulant path.
+meta["cholesky_jitter"] records it, None on the circulant path.  Both
+generators are numpy code; the covariance matrix is breuer_major's
+_toeplitz.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .breuer_major import BmInstance, rho_values, sigma
+from .breuer_major import BmInstance, _toeplitz, rho_values, sigma
 from .chaos import hermite
 from .tensors import _jittered_cholesky
 
@@ -137,7 +138,7 @@ def _fbm_blocks(
                 yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0, :n]
 
     else:
-        factor, jitter = _cholesky_factor(toeplitz(rho_values(H, n - 1)))
+        factor, jitter = _cholesky_factor(_toeplitz(rho_values(H, n - 1)))
         generator = "cholesky-toeplitz"
 
         def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:

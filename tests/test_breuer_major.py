@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import matmul_toeplitz, toeplitz
 
 from steinchaos.breuer_major import (
     DEFAULT_OP_BUDGET,
@@ -22,6 +22,8 @@ from steinchaos.breuer_major import (
     _check_op_budget,
     _complete_graph,
     _contraction_norms,
+    _toeplitz,
+    _toeplitz_product,
 )
 from steinchaos.bounds import gauss_bound_single
 from steinchaos.chaos import hermite
@@ -208,6 +210,26 @@ def test_bm_contraction_norms_match_dense_oracle():
                 fast = _contraction_norms(inst, sigma(H, q), DEFAULT_OP_BUDGET)
                 dense = _dense_contraction_norms(inst)
                 assert fast == pytest.approx(dense, rel=1e-12, abs=0.0), (q, H, n)
+
+
+TOEPLITZ_NS = tuple(range(1, 70)) + (127, 128, 255, 256, 512, 1000, 1024, 2048, 4096,
+                                      4097, 8192)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.45, 0.6, 0.7, 0.75])
+def test_toeplitz_helpers_match_scipy_oracle(H):
+    # scipy.linalg is the documented oracle of the numpy Toeplitz helpers;
+    # the FFT product may differ from it in the last bits under another
+    # numpy, so agreement is normwise to 1e-14.  Dense matrices stop at
+    # n = 1024 to keep memory small.
+    for n in TOEPLITZ_NS:
+        base = rho_values(H, n - 1)
+        if n <= 1024:
+            np.testing.assert_array_equal(_toeplitz(base), toeplitz(base))
+        for c, x in ((base, base), (base, base**2), (base**2, base**3)):
+            got, want = _toeplitz_product(c, x), matmul_toeplitz((c, c), x)
+            assert got.shape == want.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (H, n)
 
 
 @pytest.mark.parametrize("q, n", [(3, 1024), (4, 256)])

@@ -1,0 +1,76 @@
+"""Cold start: which scipy modules importing steinchaos and each command load.
+
+Each case runs in a fresh interpreter, because scipy modules loaded by
+other tests stay in this process's sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import steinchaos
+from steinchaos.pearson import gamma_spec
+from steinchaos.tensors import GramSpace, SymKernel
+
+SRC = str(Path(steinchaos.__file__).resolve().parents[1])
+
+# prints the scipy modules loaded after the script's own statements run
+REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules(script: str) -> set[str]:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script + REPORT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def cli_script(tmp_path: Path, config: dict) -> str:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    return f"from steinchaos import cli\nassert cli.main({argv!r}) == 0\n"
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules("import steinchaos, steinchaos.cli\n") == set()
+
+
+@pytest.mark.parametrize("command", ["chi2-example", "bound", "gamma", "pearson"])
+def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
+    rng = np.random.default_rng(0)
+    matrix = rng.normal(size=(4, 4))
+    kernel = tmp_path / "kernel.json"
+    kernel.write_text(SymKernel.from_dense(GramSpace.standard(4), matrix + matrix.T).to_json())
+    parameters = {
+        "chi2-example": {"ns": [4, 8]},
+        "bound": {"kernel": str(kernel)},
+        "gamma": {"kernel": str(kernel), "nu": 2.0},
+        "pearson": dict(gamma_spec(1.0).to_json_obj(), grid=21),
+    }[command]
+    config = {"command": command, "parameters": parameters}
+    assert scipy_modules(cli_script(tmp_path, config)) == set()
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8, 16]}},
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 8, "count": 100}},
+], ids=["breuer-major", "simulate"])
+def test_sigma_and_ks_load_only_scipy_special(config, tmp_path):
+    loaded = scipy_modules(cli_script(tmp_path, config))
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.startswith(("scipy.linalg", "scipy.integrate"))}
