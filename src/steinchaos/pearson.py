@@ -222,13 +222,18 @@ def uniform_spec() -> PearsonSpec:
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call.
+    """scipy.integrate.quad, imported on the first call, with its
+    IntegrationWarnings ignored.
 
     Spec targets never call it, so importing pearson loads no scipy.
+    Roundoff-level warnings are expected at the tolerances used here; the
+    relative-accuracy retry and the callers' own checks control accuracy.
     """
-    from scipy.integrate import quad as scipy_quad
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
 
-    return scipy_quad(*args, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(*args, **kwargs)
 
 
 def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
@@ -321,22 +326,9 @@ class DensityModel:
         The deliberate test oracle of _panels, which runs the same rule on
         the vector port of QUADPACK; the library calls it nowhere else.
         """
-        from scipy.integrate import IntegrationWarning
-
-        with warnings.catch_warnings():
-            # roundoff-level warnings are expected at these tolerances; the
-            # retry and the callers' own checks control accuracy
-            warnings.simplefilter("ignore", IntegrationWarning)
-            return _relative_accuracy(
-                lambda epsabs: quad(
-                    integrand,
-                    lo,
-                    hi,
-                    epsabs=epsabs,
-                    epsrel=_QUAD_OPTS["epsrel"],
-                    limit=_QUAD_OPTS["limit"],
-                )
-            )
+        return _relative_accuracy(
+            lambda epsabs: quad(integrand, lo, hi, **dict(_QUAD_OPTS, epsabs=epsabs))
+        )
 
     def _panels(self, fn, los, his, shift=0.0) -> np.ndarray:
         """int (fn - shift) * weight over every panel [los[i], his[i]] inside
@@ -508,18 +500,12 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
     spec.check_explosion()
 
     def weight(x: np.ndarray) -> np.ndarray:
-        # libm's exp, not numpy's, which differs from it in the last bit on
-        # a few percent of arguments: u' near a finite endpoint divides by
-        # tau -> 0 and magnifies such bits into ~1e-10 relative changes
-        decay = [math.exp(-v) for v in spec.exponent_integral(x).tolist()]
-        return np.array(decay) / spec.quadratic(x)
+        return np.exp(-spec.exponent_integral(x)) / spec.quadratic(x)
 
     return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
 
 
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
-    from scipy.integrate import IntegrationWarning
-
     @lru_cache(maxsize=100_000)
     def inner(x: float) -> float:
         return quad(lambda y: y / tau_fn(y), 0.0, x, **_QUAD_OPTS)[0]
@@ -530,15 +516,13 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
     # probe value is clearly diverged, or still rising by >= 20% across the
     # last six decades of distance; a convergent integral plateaus.
     for sign, endpoint in ((1.0, b), (-1.0, a)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            if math.isfinite(endpoint):
-                span = max(abs(endpoint), 1.0)
-                near = inner(endpoint - sign * 1e-6 * span)
-                nearest = inner(endpoint - sign * 1e-12 * span)
-            else:
-                near = inner(sign * 1e3)
-                nearest = inner(sign * 1e6)
+        if math.isfinite(endpoint):
+            span = max(abs(endpoint), 1.0)
+            near = inner(endpoint - sign * 1e-6 * span)
+            nearest = inner(endpoint - sign * 1e-12 * span)
+        else:
+            near = inner(sign * 1e3)
+            nearest = inner(sign * 1e6)
         diverges = nearest >= 40.0 or (
             nearest >= 1e-3 and near > 0.0 and nearest / near >= 1.2
         )
@@ -676,23 +660,25 @@ class SteinSolution:
             return self._centered(x) / x
         return float(self.on_grid(np.array([x]))[0][0])
 
-    def u_prime(self, x, u_value=None):
-        """u'(x) inside (a, b) through the equation itself.
-
-        x may be an array, with u_value the array of u at x.
-        """
+    def u_prime(self, x):
+        """u'(x) inside (a, b) through the equation, with u(x) point by point;
+        x may be an array."""
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr <= self.a) or np.any(x_arr >= self.b):
             raise PearsonError("u' is only defined inside the support")
-        if u_value is None:
-            u_value = self.u(x)
-        h_vals = np.array([self.h(v) for v in x_arr.ravel().tolist()], dtype=float)
-        centered = h_vals - self.expected_h
-        out = (centered.reshape(x_arr.shape) + x_arr * u_value) / self.density.tau(x_arr)
+        flat = x_arr.ravel()
+        u_vals = np.array([self.u(v) for v in flat.tolist()], dtype=float)
+        out = self._u_prime_from_u(flat, u_vals).reshape(x_arr.shape)
         return float(out) if out.ndim == 0 else out
 
+    def _u_prime_from_u(self, xs: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
+        """u' = (h - E h + x u)/tau at the interior points xs, given u there."""
+        h_vals = np.array([self.h(v) for v in xs.tolist()], dtype=float)
+        return (h_vals - self.expected_h + xs * u_vals) / self.density.tau(xs)
+
     def on_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u') on an increasing interior grid, via cumulative panels.
+        """(u, u') on an increasing interior grid: u via cumulative panels,
+        u' from the equation at each grid point.
 
         Points at or below the origin accumulate the left integral outward
         from a; points above accumulate the right integral inward from b.
@@ -720,7 +706,7 @@ class SteinSolution:
             [np.cumsum(parts[:nneg]), np.cumsum(-parts[nneg:][::-1])[::-1]]
         )
         u_vals = numerators / (density.tau(xs) * density.pdf(xs))
-        return u_vals, self.u_prime(xs, u_vals)
+        return u_vals, self._u_prime_from_u(xs, u_vals)
 
 
 def stein_solve(

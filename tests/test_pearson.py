@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -699,3 +700,51 @@ def test_spec_targets_make_no_scipy_quad_call(spec, tmp_path, monkeypatch):
     config.write_text(json.dumps({"command": "pearson",
                                   "parameters": dict(spec.to_json_obj(), grid=51)}))
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("make_density", [
+    lambda: density_from_tau(gamma_spec(1.0)),
+    lambda: DensityModel.from_pdf(normal_pdf, -math.inf, math.inf),
+], ids=["gamma1", "from_pdf"])
+def test_u_prime_on_array_matches_scalar(make_density):
+    sol = stein_solve(make_density(), math.tanh)
+    xs = np.array([[-0.5, 0.1], [0.7, 2.0]])
+    du = sol.u_prime(xs)
+    assert du.shape == xs.shape
+    np.testing.assert_array_equal(du, [[sol.u_prime(x) for x in row] for row in xs.tolist()])
+
+
+def test_callable_tau_stein_check_emits_no_integration_warning():
+    # the exponent integral of a callable tau is scipy's quad, called from
+    # the divergence probes and from every evaluation of the weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = density_from_tau(lambda x: (1.0 - x * x) / 2.0, -1.0, 1.0)
+        step = lambda x: 1.0 if x <= 0.25 else 0.0  # noqa: E731
+        chk = stein_bound_check(stein_solve(d, step, (0.25,)), 101)
+    assert chk.pass6 and chk.passK
+
+
+def _libm_exp_density(spec):
+    """The spec-target density with its weight's exp from libm, one point at
+    a time, instead of numpy's vector exp."""
+
+    def weight(x):
+        decay = [math.exp(-v) for v in spec.exponent_integral(x).tolist()]
+        return np.array(decay) / spec.quadratic(x)
+
+    return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
+
+
+@pytest.mark.parametrize("spec", [gaussian_spec(), gamma_spec(1.0), uniform_spec()],
+                         ids=["normal", "gamma1", "uniform"])
+def test_stein_check_suprema_do_not_depend_on_last_bit_of_exp(spec):
+    # the benchmark's 12 checks: u' cancels as tau -> 0 near a finite endpoint,
+    # but the grid suprema it feeds stay put when exp moves by a last bit
+    numpy_exp, libm_exp = density_from_tau(spec), _libm_exp_density(spec)
+    for h, disc in STEIN_FUNCTIONS[:4]:  # cos, tanh, step and bump
+        new = stein_bound_check(stein_solve(numpy_exp, h, disc), 1201)
+        old = stein_bound_check(stein_solve(libm_exp, h, disc), 1201)
+        assert (new.pass6, new.passK) == (old.pass6, old.passK)
+        for field in ("sup_xu", "sup_tau_du", "sup_h"):
+            assert getattr(new, field) == pytest.approx(getattr(old, field), rel=1e-14, abs=0.0)
