@@ -27,10 +27,11 @@ Each P_x = rho^x (elementwise) is symmetric Toeplitz, so:
 
 Both run under an operation budget that counts what they run.  The
 explicit kernel bm_kernel, fed to the generic tensor bounds, is the
-deliberate independent oracle for these formulas.  The Toeplitz matrices
-and products are numpy code (scipy.linalg's toeplitz and matmul_toeplitz
-are their test oracle); only sigma's tail imports scipy, its Hurwitz zeta,
-on the first call.
+deliberate independent oracle for these formulas.  The module uses no
+scipy: the Toeplitz matrices and products are numpy code (scipy.linalg's
+toeplitz and matmul_toeplitz are their test oracle), and sigma's tail takes
+its Hurwitz zeta values from an Euler-Maclaurin sum (scipy.special.zeta is
+its test oracle).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ SIGMA_DIRECT_TERMS = 100_000
 DEFAULT_OP_BUDGET = 2_000_000_000
 # Entries of the product diagonals walked per block in _four_cycle.
 WALK_BLOCK = 1 << 19
+# B_{2k} / (2k)! for k = 1..5, the Euler-Maclaurin coefficients of _hurwitz_zeta
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
 
 
 class BreuerMajorError(Exception):
@@ -124,6 +127,29 @@ def rho_values(H: float, kmax: int) -> np.ndarray:
     return _rho_at(H, np.arange(kmax + 1, dtype=float))
 
 
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta(s, a) = sum_{k >= 0} (a + k)^{-s} for s > 1 and large a.
+
+    Euler-Maclaurin from k = 0:
+
+        a^{1-s}/(s-1) + a^{-s}/2
+            + sum_{k=1..5} B_{2k}/(2k)! s(s+1)...(s+2k-2) a^{-s-2k+1},
+
+    whose remainder is O(a^{-s-11}), far below a rounding error of the sum
+    at the one argument sigma uses, a = SIGMA_DIRECT_TERMS + 1.
+    """
+    power = a**-s
+    inv_sq = 1.0 / (a * a)
+    rising = s  # s(s+1)...(s+2k-2)
+    scale = power / a  # a^{-s-2k+1}
+    correction = 0.0
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        correction += coeff * rising * scale
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        scale *= inv_sq
+    return a * power / (s - 1.0) + 0.5 * power + correction
+
+
 def _rho_tail(H: float, q: int, horizon: int) -> float:
     """sum_{t > horizon} rho_H(t)^q by asymptotic expansion.
 
@@ -132,8 +158,6 @@ def _rho_tail(H: float, q: int, horizon: int) -> float:
     so the tail is a combination of Hurwitz zeta values at s, s+2, s+4 with
     s = q(2-2H) > 1.  The neglected term is O(horizon^{1-s-6}).
     """
-    from scipy.special import zeta
-
     a = 2.0 * H
     amp = 0.5 * a * (a - 1.0)
     if amp == 0.0:
@@ -141,17 +165,24 @@ def _rho_tail(H: float, q: int, horizon: int) -> float:
     s = q * (2.0 - a)
     c1 = (a - 2.0) * (a - 3.0) / 12.0
     c2 = (a - 2.0) * (a - 3.0) * (a - 4.0) * (a - 5.0) / 360.0
-    lead = float(zeta(s, horizon + 1))
-    corr1 = q * c1 * float(zeta(s + 2, horizon + 1))
-    corr2 = (q * c2 + 0.5 * q * (q - 1) * c1**2) * float(zeta(s + 4, horizon + 1))
+    start = horizon + 1.0
+    lead = _hurwitz_zeta(s, start)
+    corr1 = q * c1 * _hurwitz_zeta(s + 2, start)
+    corr2 = (q * c2 + 0.5 * q * (q - 1) * c1**2) * _hurwitz_zeta(s + 4, start)
     return amp**q * (lead + corr1 + corr2)
 
 
 def sigma(H: float, q: int) -> float:
-    """sigma = sqrt((1/q!) sum_{t in Z} rho_H(t)^q), finite for H < (2q-1)/(2q)."""
+    """sigma = sqrt((1/q!) sum_{t in Z} rho_H(t)^q), finite for H < (2q-1)/(2q).
+
+    At q = 1 the sum telescopes to 0 for every H < 1/2 and diverges from
+    H = 1/2 on, so there is no sigma to normalize by.
+    """
     if q < 1:
         raise BreuerMajorError(f"Hermite order must be >= 1, got {q}")
     _check_hurst(H, q)
+    if q == 1:
+        raise BreuerMajorError(f"sum_t rho_H(t) = 0 for H = {H} < 1/2, so sigma(H, 1) = 0")
     direct = float(np.sum(rho_values(H, SIGMA_DIRECT_TERMS)[1:] ** q))
     total = 1.0 + 2.0 * (direct + _rho_tail(H, q, SIGMA_DIRECT_TERMS))
     return math.sqrt(total / math.factorial(q))

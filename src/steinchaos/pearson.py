@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._quadpack import DQK21, finite_step, first_step_done, gauss_kronrod, qag, tail_step
+from ._quadpack import finite_step, first_step_done, qag, tail_step
 
 __all__ = [
     "PearsonError",
@@ -75,8 +75,6 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 _ENDPOINT_TOL = 1e-9
-# dqk21's nodes, in half-lengths from the panel centre
-_NODES = DQK21.nodes
 # panels per numpy pass: 128 x 21 points keep every temporary array small
 # enough to be reused from the heap (a whole ~1200-panel grid in one pass
 # raised the peak resident memory of a Stein check by ~3 MB)
@@ -254,13 +252,6 @@ def _elementwise(fn: Callable[[float], float]) -> Callable:
     return apply
 
 
-def _kronrod21(values: np.ndarray, hlgth: np.ndarray):
-    """QUADPACK dqk21 on each row of integrand values at centre + hlgth * _NODES:
-    (result, abserr, resasc)."""
-    result, abserr, _, resasc = gauss_kronrod(values, hlgth, DQK21)
-    return result, abserr, resasc
-
-
 def _needs_retry(value, err):
     """Where a QUADPACK result misses the relative accuracy _relative_accuracy
     asks for; floats or arrays."""
@@ -319,17 +310,6 @@ class DensityModel:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _quad_rel(integrand, lo, hi):
-        """_relative_accuracy on scipy's quad with a scalar integrand.
-
-        The deliberate test oracle of _panels, which runs the same rule on
-        the vector port of QUADPACK; the library calls it nowhere else.
-        """
-        return _relative_accuracy(
-            lambda epsabs: quad(integrand, lo, hi, **dict(_QUAD_OPTS, epsabs=epsabs))
-        )
-
     def _panels(self, fn, los, his, shift=0.0) -> np.ndarray:
         """int (fn - shift) * weight over every panel [los[i], his[i]] inside
         the support.
@@ -343,7 +323,8 @@ class DensityModel:
         dqagse or dqagie would stop there and _relative_accuracy would not
         rerun; the rest continue in the QUADPACK port, each bisection one
         call of the weight on the nodes of both halves, and give what
-        _quad_rel gives on the scalar integrand.
+        _relative_accuracy on scipy's quad gives on the scalar integrand
+        (the tests' oracle).
         """
         los = np.asarray(los, dtype=float)
         his = np.asarray(his, dtype=float)

@@ -4,9 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import matmul_toeplitz, toeplitz
+from scipy.special import zeta
+
+from steinchaos import breuer_major
 
 from steinchaos.breuer_major import (
     DEFAULT_OP_BUDGET,
+    SIGMA_DIRECT_TERMS,
     BmInstance,
     BreuerMajorError,
     DivergenceError,
@@ -22,6 +26,7 @@ from steinchaos.breuer_major import (
     _check_op_budget,
     _complete_graph,
     _contraction_norms,
+    _hurwitz_zeta,
     _toeplitz,
     _toeplitz_product,
 )
@@ -61,6 +66,42 @@ def test_sigma_divergence_boundary():
         sigma(0.75, 2)
     with pytest.raises(DivergenceError):
         BmInstance(5.0 / 6.0, 3, 4)
+
+
+def test_sigma_q1_raises_typed_error():
+    # sum_t rho_H(t) telescopes to 0 below H = 1/2; direct summation left
+    # cancellation noise there, or a negative total and a math domain error
+    for H in (0.05, 0.1, 0.14, 0.27, 0.49):
+        with pytest.raises(BreuerMajorError, match="sigma"):
+            sigma(H, 1)
+    with pytest.raises(DivergenceError):
+        sigma(0.5, 1)
+
+
+# the exponents s = q(2 - 2H) > 1 of sigma's tail, H = 0.05..0.95, q <= 6
+TAIL_EXPONENTS = [
+    q * (2.0 - 2.0 * H)
+    for H in np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
+    for q in range(1, 7)
+    if q * (2.0 - 2.0 * H) > 1.0
+]
+
+
+def test_hurwitz_zeta_matches_scipy_at_sigma_horizon():
+    start = SIGMA_DIRECT_TERMS + 1.0
+    for s in TAIL_EXPONENTS:
+        for shift in (0.0, 2.0, 4.0):
+            want = float(zeta(s + shift, start))
+            assert abs(_hurwitz_zeta(s + shift, start) - want) <= 1e-15 * want
+
+
+def test_sigma_matches_scipy_zeta_tail(monkeypatch):
+    grid = [(H, q) for H in np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
+            for q in range(2, 7) if H < (2 * q - 1) / (2 * q)]
+    ours = [sigma(H, q) for H, q in grid]
+    monkeypatch.setattr(breuer_major, "_hurwitz_zeta", lambda s, a: float(zeta(s, a)))
+    for (H, q), got in zip(grid, ours):
+        assert got == pytest.approx(sigma(H, q), rel=1e-14, abs=0.0)
 
 
 def test_sigma_tail_acceleration_brackets_direct_sums():

@@ -5,10 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from steinchaos import simulate
 from steinchaos.breuer_major import DEFAULT_OP_BUDGET
-from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
+from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, _normal_cdf, main
 from steinchaos.tensors import GramSpace, tensor_power
 
 
@@ -132,6 +133,14 @@ def test_simulate_command(tmp_path):
     samples = (out / "samples.csv").read_text().splitlines()
     assert samples[0].startswith("# ")
     assert len(samples) == 4000 + 2
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # simulate's KS distance is a difference of these values; they differ
+    # from ndtr's by at most 2^-52 (two units in the last place below 1)
+    x = np.linspace(-9.0, 9.0, 100_001)
+    assert np.max(np.abs(_normal_cdf(x) - ndtr(x))) <= np.finfo(float).eps
+    assert _normal_cdf(np.array([-40.0, 0.0, 40.0])).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_simulate_manifest_diagnostics(tmp_path):

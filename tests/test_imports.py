@@ -50,7 +50,9 @@ def test_import_loads_no_scipy():
     assert scipy_modules("import steinchaos, steinchaos.cli\n") == set()
 
 
-@pytest.mark.parametrize("command", ["chi2-example", "bound", "gamma", "pearson"])
+@pytest.mark.parametrize(
+    "command", ["chi2-example", "bound", "gamma", "pearson", "breuer-major", "simulate"]
+)
 def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(4, 4))
@@ -61,16 +63,8 @@ def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
         "bound": {"kernel": str(kernel)},
         "gamma": {"kernel": str(kernel), "nu": 2.0},
         "pearson": dict(gamma_spec(1.0).to_json_obj(), grid=21),
+        "breuer-major": {"H": 0.7, "q": 2, "ns": [8, 16]},
+        "simulate": {"H": 0.6, "q": 2, "n": 8, "count": 100},
     }[command]
     config = {"command": command, "parameters": parameters}
     assert scipy_modules(cli_script(tmp_path, config)) == set()
-
-
-@pytest.mark.parametrize("config", [
-    {"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8, 16]}},
-    {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 8, "count": 100}},
-], ids=["breuer-major", "simulate"])
-def test_sigma_and_ks_load_only_scipy_special(config, tmp_path):
-    loaded = scipy_modules(cli_script(tmp_path, config))
-    assert "scipy.special" in loaded
-    assert not {m for m in loaded if m.startswith(("scipy.linalg", "scipy.integrate"))}

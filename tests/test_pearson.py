@@ -19,7 +19,7 @@ from steinchaos._quadpack import (
 )
 from steinchaos.cli import main
 from steinchaos.pearson import (
-    _NODES,
+    _QUAD_OPTS,
     CenteringError,
     DensityModel,
     ExplosionError,
@@ -27,7 +27,7 @@ from steinchaos.pearson import (
     PearsonSpec,
     SteinSolution,
     SupportError,
-    _kronrod21,
+    _relative_accuracy,
     char_residual,
     density_from_tau,
     gamma_spec,
@@ -40,6 +40,24 @@ from steinchaos.pearson import (
 )
 
 SQ2PI = math.sqrt(2.0 * math.pi)
+# dqk21's nodes, in half-lengths from the panel centre
+_NODES = DQK21.nodes
+
+
+def _kronrod21(values, hlgth):
+    """QUADPACK dqk21 on each row of integrand values at centre + hlgth * _NODES:
+    (result, abserr, resasc)."""
+    result, abserr, _, resasc = gauss_kronrod(values, hlgth, DQK21)
+    return result, abserr, resasc
+
+
+def _quad_rel(integrand, lo, hi):
+    """pearson's _relative_accuracy on scipy's quad with a scalar integrand:
+    the oracle of DensityModel._panels, which runs the same rule on the
+    vector port of QUADPACK."""
+    return _relative_accuracy(
+        lambda epsabs: pearson.quad(integrand, lo, hi, **dict(_QUAD_OPTS, epsabs=epsabs))
+    )
 
 
 def normal_pdf(x):
@@ -384,7 +402,7 @@ def _oracle_panel(density, fn, lo, hi):
     elif math.isfinite(density.b) and hi == density.b:
         endpoint, sign = density.b, -1.0
     else:
-        return density._quad_rel(lambda x: fn(x) * weight(x), lo, hi)
+        return _quad_rel(lambda x: fn(x) * weight(x), lo, hi)
 
     def sub(u):
         x = endpoint + sign * u * u
@@ -392,7 +410,7 @@ def _oracle_panel(density, fn, lo, hi):
             return 0.0
         return 2.0 * u * fn(x) * weight(x)
 
-    return density._quad_rel(sub, 0.0, math.sqrt(hi - lo))
+    return _quad_rel(sub, 0.0, math.sqrt(hi - lo))
 
 
 def _split_points(lo, hi, points):
@@ -559,7 +577,7 @@ def test_batch_acceptance_never_takes_a_panel_quadpack_refines():
         if d.quad_fallbacks == before:
             accepted += 1
             assert info["neval"] == 21
-            reference = DensityModel._quad_rel(integrand, lo, hi)
+            reference = _quad_rel(integrand, lo, hi)
             assert abs(value - reference) <= 4 * np.spacing(abs(reference))
         else:
             refined += 1
