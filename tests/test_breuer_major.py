@@ -7,7 +7,6 @@ from scipy.linalg import matmul_toeplitz, toeplitz
 from scipy.special import zeta
 
 from steinchaos import breuer_major
-
 from steinchaos.breuer_major import (
     DEFAULT_OP_BUDGET,
     SIGMA_DIRECT_TERMS,
@@ -78,26 +77,22 @@ def test_sigma_q1_raises_typed_error():
         sigma(0.5, 1)
 
 
-# the exponents s = q(2 - 2H) > 1 of sigma's tail, H = 0.05..0.95, q <= 6
-TAIL_EXPONENTS = [
-    q * (2.0 - 2.0 * H)
-    for H in np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
-    for q in range(1, 7)
-    if q * (2.0 - 2.0 * H) > 1.0
-]
+HURST_GRID = np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
 
 
 def test_hurwitz_zeta_matches_scipy_at_sigma_horizon():
+    # at the exponents s = q(2 - 2H) > 1 of sigma's tail and at s + 2, s + 4
     start = SIGMA_DIRECT_TERMS + 1.0
-    for s in TAIL_EXPONENTS:
-        for shift in (0.0, 2.0, 4.0):
-            want = float(zeta(s + shift, start))
-            assert abs(_hurwitz_zeta(s + shift, start) - want) <= 1e-15 * want
+    for H in HURST_GRID:
+        for q in range(1, 7):
+            s = q * (2.0 - 2.0 * H)
+            for x in (s, s + 2.0, s + 4.0) if s > 1.0 else ():
+                want = float(zeta(x, start))
+                assert abs(_hurwitz_zeta(x, start) - want) <= 1e-15 * want
 
 
 def test_sigma_matches_scipy_zeta_tail(monkeypatch):
-    grid = [(H, q) for H in np.round(np.arange(0.05, 0.96, 0.05), 2).tolist()
-            for q in range(2, 7) if H < (2 * q - 1) / (2 * q)]
+    grid = [(H, q) for H in HURST_GRID for q in range(2, 7) if H < (2 * q - 1) / (2 * q)]
     ours = [sigma(H, q) for H, q in grid]
     monkeypatch.setattr(breuer_major, "_hurwitz_zeta", lambda s, a: float(zeta(s, a)))
     for (H, q), got in zip(grid, ours):
