@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -183,6 +184,14 @@ def sigma(H: float, q: int) -> float:
     _check_hurst(H, q)
     if q == 1:
         raise BreuerMajorError(f"sum_t rho_H(t) = 0 for H = {H} < 1/2, so sigma(H, 1) = 0")
+    return _sigma(H, q)
+
+
+@lru_cache(maxsize=16)
+def _sigma(H: float, q: int) -> float:
+    """sigma for a validated (H, q), kept for reuse: every row of a table and
+    the sampler of a simulate run ask for the same value.  A run uses a few
+    (H, q) pairs; a sweep over a larger grid recomputes as it goes."""
     direct = float(np.sum(rho_values(H, SIGMA_DIRECT_TERMS)[1:] ** q))
     total = 1.0 + 2.0 * (direct + _rho_tail(H, q, SIGMA_DIRECT_TERMS))
     return math.sqrt(total / math.factorial(q))

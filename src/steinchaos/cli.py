@@ -52,6 +52,7 @@ from .breuer_major import (
     DEFAULT_OP_BUDGET,
     BmInstance,
     BreuerMajorError,
+    _toeplitz,
     bm_bound_exact,
     bm_table,
 )
@@ -187,8 +188,7 @@ def _cmd_chi2_example(params: dict, out_dir: Path) -> dict:
     rows = []
     bounds = []
     for n in ns:
-        offsets = np.arange(n)[:, None] - np.arange(n)[None, :]
-        matrix = _chi2_sequence(offsets) / n
+        matrix = _toeplitz(_chi2_sequence(np.arange(n)) / n)
         kernel = SymKernel.from_dense(GramSpace.standard(n), matrix)
         report = gamma_bound_single(kernel, 1.0, metric)
         rows.append([n, report.variance_term, report.squared_total, report.bound])

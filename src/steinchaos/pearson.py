@@ -186,20 +186,8 @@ class PearsonSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PearsonSpec":
-        def dec(v):
-            if v in ("inf", "+inf"):
-                return math.inf
-            if v == "-inf":
-                return -math.inf
-            return float(v)
-
-        return cls(
-            float(obj["alpha"]),
-            float(obj["beta"]),
-            float(obj["gamma"]),
-            dec(obj["a"]),
-            dec(obj["b"]),
-        )
+        # float() parses the "inf", "+inf" and "-inf" sentinels itself
+        return cls(*(float(obj[k]) for k in ("alpha", "beta", "gamma", "a", "b")))
 
 
 def gaussian_spec() -> PearsonSpec:
@@ -235,8 +223,8 @@ def quad(*args, **kwargs):
 
 
 def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
-    lo = a if math.isfinite(a) else min(-12.0, -1.0)
-    hi = b if math.isfinite(b) else max(12.0, 1.0)
+    lo = a if math.isfinite(a) else -12.0
+    hi = b if math.isfinite(b) else 12.0
     span = hi - lo
     return np.linspace(lo + 1e-6 * span, hi - 1e-6 * span, count)
 
@@ -280,8 +268,9 @@ class DensityModel:
     """Numeric density on (a, b): evaluator, normalization and quadrature.
 
     The unnormalized weight takes a 1-d array of points inside (a, b) and
-    returns its values there.  quad_panels counts the panels settled by the
-    batched first QUADPACK step, quad_fallbacks those the QUADPACK port
+    returns its values there.  Every model carries its tau: the one given,
+    else tau_from_density(model).  quad_panels counts the panels settled by
+    the batched first QUADPACK step, quad_fallbacks those the QUADPACK port
     bisects further (see _panels).
     """
 
@@ -298,7 +287,7 @@ class DensityModel:
         self.a = float(a)
         self.b = float(b)
         self._weight = unnormalized
-        self.tau = tau
+        self.tau = tau_from_density(self) if tau is None else tau
         self.quad_panels = 0
         self.quad_fallbacks = 0
         self.normalization = float(self._integrate_weight(lambda x: 1.0, [a], [b])[0])
@@ -417,6 +406,16 @@ class DensityModel:
         parts = self._panels(fn, lo, hi, shift)
         return np.bincount(owner, weights=parts, minlength=los.size)
 
+    def _one_sided(self, fn, xs, points=(), shift=0.0) -> np.ndarray:
+        """int_a^x (fn - shift) p at each interior x <= 0 and -int_x^b (fn - shift) p
+        at each x > 0, in one _integrate_weight call: each side integrates
+        over its own tail, so tiny tail values never come out of a cancellation."""
+        left = xs <= 0.0
+        num = self._integrate_weight(
+            fn, np.where(left, self.a, xs), np.where(left, xs, self.b), points, shift
+        ) / self.normalization
+        return np.where(left, num, -num)
+
     @classmethod
     def from_pdf(
         cls, pdf: Callable[[float], float], a: float, b: float
@@ -435,7 +434,6 @@ class DensityModel:
             raise PearsonError(
                 f"density integrates to {model.normalization:.10f}, not 1"
             )
-        model.tau = tau_from_density(model)
         return model
 
     # ------------------------------------------------------------------
@@ -550,7 +548,7 @@ def tau_from_density(density: DensityModel) -> Callable:
 
     For x <= 0 the numerator equals -int_a^x y p dy by centering; that side
     is evaluated from the left, where the integrand keeps one sign, so the
-    tiny tail values never come out of a cancellation.
+    tiny tail values never come out of a cancellation (DensityModel._one_sided).
     """
 
     def tau(x):
@@ -562,14 +560,7 @@ def tau_from_density(density: DensityModel) -> Callable:
         # exact zero of p means the tail underflowed, i.e. x is beyond the
         # numerically representable support, and tau is 0 there
         live = (flat > density.a) & (flat < density.b) & (p > 0.0)
-        xs = flat[live]
-        left = xs <= 0.0
-        num = density._integrate_weight(
-            lambda y: y,
-            np.where(left, density.a, xs),
-            np.where(left, xs, density.b),
-        ) / density.normalization
-        out[live] = np.where(left, -num, num) / p[live]
+        out[live] = -density._one_sided(lambda y: y, flat[live]) / p[live]
         return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     return tau
@@ -607,7 +598,11 @@ def pearson_classify(spec: PearsonSpec) -> PearsonOde:
 
 
 class SteinSolution:
-    """Solved Stein equation tau u' - x u = h - E(h) for one test function."""
+    """Solved Stein equation tau u' - x u = h - E(h) for one test function.
+
+    u and u_prime take floats or arrays: one DensityModel._one_sided call per
+    call covers all its interior points.  on_grid sums panels between grid
+    points instead."""
 
     def __init__(
         self,
@@ -615,8 +610,6 @@ class SteinSolution:
         h: Callable[[float], float],
         discontinuities: Sequence[float] = (),
     ):
-        if density.tau is None:
-            raise PearsonError("the density model must carry its tau")
         self.density = density
         self.h = h
         self.discontinuities = tuple(float(p) for p in discontinuities)
@@ -630,32 +623,36 @@ class SteinSolution:
     def b(self) -> float:
         return self.density.b
 
-    def _centered(self, y: float) -> float:
-        return self.h(y) - self.expected_h
+    def _centered(self, x):
+        """h - E h; float in, float out; array in, array out."""
+        return _elementwise(self.h)(x) - self.expected_h
 
-    def u(self, x: float) -> float:
-        """The unique bounded continuous solution on (a, b); tail form outside."""
-        if not self.a < x < self.b:
-            if x == 0.0:
-                raise PearsonError("the tail formula (h - E h)/x needs x != 0")
-            return self._centered(x) / x
-        return float(self.on_grid(np.array([x]))[0][0])
+    def u(self, x):
+        """The unique bounded continuous solution: inside (a, b) the one-sided
+        integral of (h - E h) p over tau p, outside (h - E h)/x; x may be an array."""
+        x_arr = np.asarray(x, dtype=float)
+        flat = x_arr.ravel()
+        out = np.empty_like(flat)
+        inside = (flat > self.a) & (flat < self.b)
+        xs = flat[inside]
+        density = self.density
+        numerators = density._one_sided(self.h, xs, self.discontinuities, self.expected_h)
+        out[inside] = numerators / (density.tau(xs) * density.pdf(xs))
+        xs = flat[~inside]
+        out[~inside] = self._centered(xs) / xs
+        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
     def u_prime(self, x):
-        """u'(x) inside (a, b) through the equation, with u(x) point by point;
-        x may be an array."""
+        """u'(x) inside (a, b) through the equation from u(x); x may be an array."""
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr <= self.a) or np.any(x_arr >= self.b):
             raise PearsonError("u' is only defined inside the support")
-        flat = x_arr.ravel()
-        u_vals = np.array([self.u(v) for v in flat.tolist()], dtype=float)
-        out = self._u_prime_from_u(flat, u_vals).reshape(x_arr.shape)
-        return float(out) if out.ndim == 0 else out
+        out = self._u_prime_from_u(x_arr, self.u(x_arr))
+        return float(out) if x_arr.ndim == 0 else out
 
-    def _u_prime_from_u(self, xs: np.ndarray, u_vals: np.ndarray) -> np.ndarray:
+    def _u_prime_from_u(self, xs: np.ndarray, u_vals):
         """u' = (h - E h + x u)/tau at the interior points xs, given u there."""
-        h_vals = np.array([self.h(v) for v in xs.tolist()], dtype=float)
-        return (h_vals - self.expected_h + xs * u_vals) / self.density.tau(xs)
+        return (self._centered(xs) + xs * u_vals) / self.density.tau(xs)
 
     def on_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, u') on an increasing interior grid: u via cumulative panels,
@@ -710,9 +707,11 @@ class SteinBoundCheck(NamedTuple):
 def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCheck:
     """Grid suprema of |x u| and |tau u'| against the 6 sup|h| and K sup|h| bounds.
 
-    K = 2 max{3, 1/|a|, 1/|b|} with 1/inf = 0; the supremum for the K check
-    runs over the whole line, using the tail form of the solution outside
-    the support.
+    u comes from sol.on_grid, and tau u' is read from the Stein equation,
+    tau u' = h - E h + x u, so tau is never evaluated.  K = 2 max{3, 1/|a|,
+    1/|b|} with 1/inf = 0; the supremum for the K check runs over the whole
+    line, where outside the support the tail form u = (h - E h)/x gives
+    x u = h - E h.
     """
     lo, hi = sol.density.effective_range()
     span = hi - lo
@@ -723,22 +722,22 @@ def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCh
             inner = np.sort(
                 np.concatenate([inner, [p - 1e-9 * span, p + 1e-9 * span]])
             )
-    u_vals, du_vals = sol.on_grid(inner)
-    tau_vals = sol.density.tau(inner)
+    u_vals = sol.on_grid(inner)[0]
     h_vals = np.array([sol.h(x) for x in inner])
-    sup_xu = float(np.max(np.abs(inner * u_vals)))
-    sup_tau_du = float(np.max(np.abs(tau_vals * du_vals)))
-    sup_pair = float(np.max(np.abs(inner * u_vals) + np.abs(tau_vals * du_vals)))
+    xu = inner * u_vals
+    tau_du = h_vals - sol.expected_h + xu
+    sup_xu = float(np.max(np.abs(xu)))
+    sup_tau_du = float(np.max(np.abs(tau_du)))
+    sup_pair = float(np.max(np.abs(xu) + np.abs(tau_du)))
     sup_h = float(np.max(np.abs(h_vals)))
 
     outside_xu = 0.0
     for endpoint, direction in ((sol.a, -1.0), (sol.b, 1.0)):
         if math.isfinite(endpoint):
             for step in (1e-6, 0.1, 1.0, 10.0):
-                x = endpoint + direction * step
-                if x != 0.0:
-                    outside_xu = max(outside_xu, abs(x * sol.u(x)))
-                    sup_h = max(sup_h, abs(sol.h(x)))
+                h_x = sol.h(endpoint + direction * step)
+                outside_xu = max(outside_xu, abs(h_x - sol.expected_h))
+                sup_h = max(sup_h, abs(h_x))
 
     inv_a = 0.0 if not math.isfinite(sol.a) else 1.0 / abs(sol.a)
     inv_b = 0.0 if not math.isfinite(sol.b) else 1.0 / abs(sol.b)
@@ -756,8 +755,6 @@ def char_residual(
 ) -> float:
     """E[tau(Z) f'(Z) - Z f(Z)]; zero exactly when Z has the tau-density."""
     density = _as_density(spec_or_density)
-    if density.tau is None:
-        raise PearsonError("the density model must carry its tau")
     if fprime is None:
         step = 1e-6
 

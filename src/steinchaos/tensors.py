@@ -125,18 +125,19 @@ class GramSpace:
             raise TensorError(f"gram must be a square matrix, got shape {g.shape}")
         if not np.array_equal(g, g.T):
             raise TensorError("gram matrix must be exactly symmetric")
-        scale = float(np.abs(g).max()) or 1.0
-        eigmin = float(np.linalg.eigvalsh(g).min())
-        if eigmin < -PSD_RTOL * scale:
-            raise TensorError(
-                f"gram matrix is not positive semidefinite: min eigenvalue {eigmin:g}"
-            )
+        self._is_identity = bool(np.array_equal(g, np.eye(g.shape[0])))
+        if not self._is_identity:  # the identity is positive definite
+            scale = float(np.abs(g).max()) or 1.0
+            eigmin = float(np.linalg.eigvalsh(g).min())
+            if eigmin < -PSD_RTOL * scale:
+                raise TensorError(
+                    f"gram matrix is not positive semidefinite: min eigenvalue {eigmin:g}"
+                )
         self.dim = int(g.shape[0])
         self.gram = g
         self.gram.setflags(write=False)
         self._chol: np.ndarray | None = None
         self._jitter: float | None = None
-        self._is_identity = bool(np.array_equal(g, np.eye(self.dim)))
 
     @classmethod
     def standard(cls, dim: int) -> "GramSpace":

@@ -309,3 +309,22 @@ def test_quadratic_variant_normalization():
     z_hermite = np.asarray(hermite(2, inc)).sum(axis=1) / (sigma(H, 2) * math.sqrt(n))
     z_quadratic = (inc**2 - 1.0).sum(axis=1) / (sigma_quadratic(H) * math.sqrt(n))
     assert np.allclose(z_hermite, z_quadratic, atol=1e-12)
+
+
+def test_sigma_sums_once_per_pair(monkeypatch):
+    # a table row and the sampler ask for the same sigma; the sum runs once
+    breuer_major._sigma.cache_clear()
+    calls = []
+    real = breuer_major.rho_values
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(breuer_major, "rho_values", counting)
+    values = [sigma(0.65, 3) for _ in range(3)]
+    assert values == [values[0]] * 3
+    assert len(calls) == 1
+    for _ in range(2):
+        with pytest.raises(DivergenceError):
+            sigma(0.9, 3)

@@ -766,3 +766,47 @@ def test_stein_check_suprema_do_not_depend_on_last_bit_of_exp(spec):
         assert (new.pass6, new.passK) == (old.pass6, old.passK)
         for field in ("sup_xu", "sup_tau_du", "sup_h"):
             assert getattr(new, field) == pytest.approx(getattr(old, field), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("make_density", [
+    lambda: density_from_tau(gamma_spec(1.0)),
+    lambda: density_from_tau(uniform_spec()),
+    lambda: DensityModel.from_pdf(normal_pdf, -math.inf, math.inf),
+], ids=["gamma1", "uniform", "from_pdf"])
+def test_u_on_array_matches_scalar(make_density):
+    # points below and above the origin share one batched integral; the
+    # points outside a finite support take the tail form
+    d = make_density()
+    sol = stein_solve(d, math.tanh)
+    xs = np.array([[-0.9, -0.3, 0.0], [0.2, 0.8, 3.0]])
+    if math.isfinite(d.b):
+        xs[1, 2] = d.b + 0.5
+    if math.isfinite(d.a):
+        xs[0, 2] = d.a - 0.25
+    u = sol.u(xs)
+    assert u.shape == xs.shape
+    np.testing.assert_array_equal(u, [[sol.u(x) for x in row] for row in xs.tolist()])
+    assert isinstance(sol.u(0.5), float)
+
+
+def test_u_prime_on_array_makes_one_integral_call(monkeypatch):
+    sol = stein_solve(density_from_tau(gamma_spec(1.0)), math.tanh)
+    calls = []
+    integrate_weight = DensityModel._integrate_weight
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return integrate_weight(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityModel, "_integrate_weight", counting)
+    du = sol.u_prime(np.linspace(-0.9, 5.0, 50))
+    assert du.shape == (50,)
+    assert len(calls) == 1
+
+
+def test_density_without_tau_carries_tau_from_density():
+    d = DensityModel(-1.0, 1.0, lambda x: np.full(x.shape, 0.5))
+    xs = np.linspace(-0.99, 0.99, 41)
+    np.testing.assert_allclose(d.tau(xs), uniform_spec().tau(xs), rtol=0.0, atol=1e-8)
+    chk = stein_bound_check(stein_solve(d, math.tanh), 201)
+    assert chk.pass6 and chk.passK

@@ -286,3 +286,14 @@ def test_from_dense_rejects_asymmetric(plane):
         SymKernel.from_dense(plane, cube)
     nearly = np.array([[2.0, 1.0], [1.0 + 1e-15, 0.0]])  # rounding-level
     assert np.array_equal(SymKernel.from_dense(plane, nearly).to_dense(), nearly)
+
+
+def test_identity_gram_skips_the_eigenvalue_check(monkeypatch):
+    def refuse(g):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert GramSpace.standard(64).is_identity
+    assert GramSpace(np.eye(3)).is_identity
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        GramSpace(np.diag([1.0, 2.0]))
