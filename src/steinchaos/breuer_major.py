@@ -12,26 +12,14 @@ n^{-2H} rho_H(k - l) and rho_H is the fGn autocovariance
 
 We compute the *exact* squared quantity E[(1 - q^{-1}||DZ_n||^2)^2] (the
 equality version of the single-chaos Gaussian bound), not the chained proof
-estimates: the variance mismatch reduces to a one-dimensional weighted sum
-of rho^q, and every contraction norm reduces to stationary four-index sums
-of rho powers.  One routine serves every q and builds no n x n matrix.
-Each P_x = rho^x (elementwise) is symmetric Toeplitz, so:
-
-- the four-cycle sums tr((P_r P_m)^2), all there is at q = 2, come from
-  the diagonals of P_r P_m, seeded by two FFT Toeplitz products (numpy
-  rffts of a circulant embedding) and walked by its displacement
-  identity: O(n^2) time in O(n) memory;
-- the complete-graph sums that appear from q = 3 on are, for each of the
-  n lags of one index pair, FFT convolutions with rho^r over the other two
-  lags: O(n^2 log n) time in O(n) memory.
-
-Both run under an operation budget that counts what they run.  The
-explicit kernel bm_kernel, fed to the generic tensor bounds, is the
-deliberate independent oracle for these formulas.  The module uses no
-scipy: the Toeplitz matrices and products are numpy code (scipy.linalg's
-toeplitz and matmul_toeplitz are their test oracle), and sigma's tail takes
-its Hurwitz zeta values from an Euler-Maclaurin sum (scipy.special.zeta is
-its test oracle).
+estimates.  With the symmetric Toeplitz P_x = rho^x (elementwise), the
+variance mismatch is the entry sum of P_q and every contraction norm sums
+four-cycle traces and complete-graph sums of the P_x; steinchaos._toeplitz
+computes them for every q, under an operation budget, with no n x n
+matrix.  The explicit kernel bm_kernel, fed to the generic tensor bounds,
+is the deliberate independent oracle for these formulas.  No scipy here:
+sigma's tail takes its Hurwitz zeta values from an Euler-Maclaurin sum
+(scipy.special.zeta is its test oracle).
 """
 
 from __future__ import annotations
@@ -41,8 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from ._toeplitz import (_complete_graph, _entry_sum, _four_cycle, _toeplitz,
+                        _trace_ops)
 from .bounds import BoundReport, _assemble, _pair_coeff
 from .tensors import GramSpace, SymKernel
 
@@ -68,8 +57,6 @@ __all__ = [
 # with error far below the 1e-10 target.
 SIGMA_DIRECT_TERMS = 100_000
 DEFAULT_OP_BUDGET = 2_000_000_000
-# Entries of the product diagonals walked per block in _four_cycle.
-WALK_BLOCK = 1 << 19
 # B_{2k} / (2k)! for k = 1..5, the Euler-Maclaurin coefficients of _hurwitz_zeta
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0, 1.0 / 47900160.0)
 
@@ -229,138 +216,24 @@ def bm_kernel(inst: BmInstance) -> SymKernel:
 
 def _bm_second_moment(inst: BmInstance, sig: float) -> float:
     """E[Z_n^2] = (1/(q! sigma^2 n)) sum_{|t|<n} (n - |t|) rho_H(t)^q."""
-    vals = rho_values(inst.H, inst.n - 1) ** inst.q
-    weights = inst.n - np.arange(inst.n, dtype=float)
-    total = vals[0] * inst.n + 2.0 * float(np.dot(vals[1:], weights[1:]))
+    total = _entry_sum(rho_values(inst.H, inst.n - 1) ** inst.q)
     return total / (math.factorial(inst.q) * sig**2 * inst.n)
 
 
 def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
     """Refuse instances whose contraction sums exceed op_budget.
 
-    The estimate counts what _contraction_norms runs: the n^2 entries of the
-    product walked for each of the q // 2 distinct four-cycle sums, and for
-    each of the (q-1)(q-2)/2 complete-graph sums, n lags of six rffts of
-    length L = 2^bits >= 3n - 2, about 15 L log2(L) ops per lag.  Both are
-    O(n^2) up to the log, in O(n) memory.  Returns the estimate.
+    The estimate counts what _contraction_norms runs: the q // 2 distinct
+    four-cycle sums and the (q-1)(q-2)/2 complete-graph sums, each at the
+    op count _trace_ops gives.  Returns the estimate.
     """
-    q, n = inst.q, inst.n
-    bits = (3 * n - 3).bit_length()
-    est_ops = q // 2 * n**2 + (q - 1) * (q - 2) // 2 * n * 15 * bits * 2**bits
+    q, (cycle_ops, graph_ops) = inst.q, _trace_ops(inst.n)
+    est_ops = q // 2 * cycle_ops + (q - 1) * (q - 2) // 2 * graph_ops
     if est_ops > op_budget:
         raise ResourceGuardError(
             f"contraction sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
         )
     return est_ops
-
-
-def _toeplitz(c: np.ndarray) -> np.ndarray:
-    """The symmetric Toeplitz matrix T[i, j] = c[|i - j|] (a copy of c's entries)."""
-    n = c.size
-    return sliding_window_view(np.concatenate([c[::-1], c[1:]]), n)[::-1].copy()
-
-
-def _toeplitz_product(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for the symmetric Toeplitz T with first column c, by FFT.
-
-    T is embedded in the circulant of first column [c, c[n-1], ..., c[1]]
-    (length 2n - 1), whose product with x zero-padded to that length holds
-    T x in its first n entries: O(n log n) time.
-    """
-    n = c.size
-    size = 2 * n - 1
-    embedded = np.fft.rfft(np.concatenate([c, c[:0:-1]]))
-    return np.fft.irfft(embedded * np.fft.rfft(x, size), size)[:n]
-
-
-def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray,
-                       d0: int, d1: int) -> np.ndarray:
-    """Diagonals d0 <= d < d1 of X Y, X and Y symmetric Toeplitz.
-
-    x and y are the first columns and row0 is row 0 of X Y.  Row d - d0 of
-    the result holds (X Y)[i, i + d] for i < n - d0, walked from row0[d] by
-    the displacement identity
-
-        (X Y)[i+1, j+1] = (X Y)[i, j] + x[i+1] y[j+1] - x[n-1-i] y[n-1-j];
-
-    entries with i >= n - d lie past the end of their diagonal.
-    """
-    n = x.size
-    width = n - d0
-    walk = np.empty((d1 - d0, width))
-    walk[:, 0] = row0[d0:d1]
-    if width > 1:
-        pad = np.zeros(n)
-        ahead = sliding_window_view(np.concatenate([y, pad]), width - 1)
-        behind = sliding_window_view(np.concatenate([y[::-1], pad]), width - 1)
-        np.multiply(x[1:width], ahead[d0 + 1 : d1 + 1], out=walk[:, 1:])
-        walk[:, 1:] -= x[::-1][: width - 1] * behind[d0:d1]
-    return np.cumsum(walk, axis=1, out=walk)
-
-
-def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
-    """tr((A B)^2) for symmetric Toeplitz A, B with first columns a, b.
-
-    tr((A B)^2) = sum_d (diagonal d of A B) . (diagonal -d of A B), and
-    diagonal -d of A B is diagonal d of B A.  Row 0 of A B is B a and row 0
-    of B A is A b (two FFT Toeplitz products; one walk when A is B, since
-    then A B is symmetric).  The diagonals are walked in blocks of about
-    WALK_BLOCK entries, so memory stays O(n).
-    """
-    n = a.size
-    row_ab = _toeplitz_product(b, a)
-    row_ba = row_ab if a is b else _toeplitz_product(a, b)
-    step = max(1, WALK_BLOCK // n)
-    total = 0.0
-    for d0 in range(0, n, step):
-        d1 = min(n, d0 + step)
-        upper = _product_diagonals(a, b, row_ab, d0, d1)
-        lower = upper if a is b else _product_diagonals(b, a, row_ba, d0, d1)
-        # zero the entries past the end of each diagonal
-        width, count = n - d0, d1 - d0
-        tail = np.arange(count - 1) < (count - 1 - np.arange(count))[:, None]
-        upper[:, width - count + 1 :] *= tail
-        dots = np.einsum("ij,ij->i", upper, lower)
-        total += 2.0 * float(dots.sum()) - (float(dots[0]) if d0 == 0 else 0.0)
-    return total
-
-
-def _complete_graph(n: int, pr: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> float:
-    """sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_a[l,j] P_b[k,j] P_b[l,i] by FFT.
-
-    With (u, v, w) = (l - k, i - k, j - k) and p_x(t) = px[|t|] (0 for
-    |t| >= n) the sum is sum_{u,v,w} W p_r(u) A_u(v) p_r(w-v) B_u(w), where
-    A_u(v) = p_a(v) p_b(v-u), B_u(w) = p_b(w) p_a(w-u) and W = n - span{0,u,v,w}
-    counts the grid positions that fit the lags; each pair of {0,u,v,w} is
-    the lag of one factor, so W needs no clip at 0.  The summand is even: u
-    runs over [0, n), twice for u > 0.  For u >= 0, W = (n - max(u,w)) +
-    min(0,v) on v <= w and (n - max(u,v)) + min(0,w) on v > w, so each half
-    is two causal convolutions with p_r (lags d >= 0, resp. d > 0) dotted
-    with B or A.  The dots are taken over rffts of a length >= 3n - 2, which
-    no convolution wraps; the rffts of p_r serve every u.  O(n^2 log n) time
-    in O(n) memory.
-    """
-    size = 1 << (3 * n - 3).bit_length()
-    ea = np.concatenate([pa[:0:-1], pa])  # p_a(t), t in (-n, n)
-    eb = np.concatenate([pb[:0:-1], pb])
-    lags = np.arange(1 - n, n, dtype=float)
-    # sum_t x[t] y[t] = sum_f weight_f Re(conj(X_f) Y_f) over the rfft bins
-    weight = np.full(size // 2 + 1, 2.0 / size)
-    weight[[0, -1]] = 1.0 / size
-    ahead = weight * np.fft.rfft(pr, size)  # lags d >= 0
-    after = ahead - weight * pr[0]  # lags d > 0
-    total = 0.0
-    for u in range(n):
-        k = 2 * n - 1 - u  # v, w run over (u - n, n)
-        a, b = ea[u:] * eb[:k], eb[u:] * ea[:k]
-        near, low = n - np.maximum(lags[u:], u), np.minimum(lags[u:], 0.0)
-        fa, fb, fna, fnb, fla, flb = np.fft.rfft(
-            [a, b, near * a, near * b, low * a, low * b], size
-        )
-        term = (np.vdot(fnb, fa * ahead) + np.vdot(fb, fla * ahead)
-                + np.vdot(fna, fb * after) + np.vdot(fa, flb * after)).real
-        total += pr[u] * (term if u == 0 else 2.0 * term)
-    return total
 
 
 def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[float]:
@@ -374,9 +247,9 @@ def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[flo
                        P_{m-a}[l,i] P_a[l,j],
 
     where m = q - r.  The a = 0 and a = m sums are both the four-cycle
-    tr((P_r P_m)^2), the same for r and q - r, walked along the diagonals
-    of P_r P_m (_four_cycle); each of the m - 1 sums with 0 < a < m is a
-    complete graph on the four indices, summed over lags (_complete_graph).
+    tr((P_r P_m)^2), the same for r and q - r (_four_cycle); each of the
+    m - 1 sums with 0 < a < m is a complete graph on the four indices
+    (_complete_graph).
     """
     _check_op_budget(inst, op_budget)
     q, n = inst.q, inst.n
@@ -437,18 +310,10 @@ def bm_table(H: float, q: int, ns: list[int]) -> list[dict]:
     rows = []
     for n, inst, estimate in zip(ns, instances, estimates):
         report = bm_bound_exact(inst)
-        rows.append(
-            {
-                "H": H,
-                "q": q,
-                "n": n,
-                "variance_term": report.variance_term,
-                "squared_total": report.squared_total,
-                "kol_bound": report.bound,
-                "rate_exponent": exponent,
-                "regime": regime,
-                "predicted": float(n) ** (-exponent),
-                "op_estimate": estimate,
-            }
-        )
+        rows.append({
+            "H": H, "q": q, "n": n,
+            "variance_term": report.variance_term, "squared_total": report.squared_total,
+            "kol_bound": report.bound, "rate_exponent": exponent, "regime": regime,
+            "predicted": float(n) ** (-exponent), "op_estimate": estimate,
+        })
     return rows

@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -485,7 +484,6 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
 
 
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
-    @lru_cache(maxsize=100_000)
     def inner(x: float) -> float:
         return quad(lambda y: y / tau_fn(y), 0.0, x, **_QUAD_OPTS)[0]
 

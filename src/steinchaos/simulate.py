@@ -20,8 +20,8 @@ records the fallback in SampleBatch.meta["circulant_fallback"]).  A
 numerically singular covariance gets a diagonal jitter of at most 1e-10
 (relative to its diagonal) before the Cholesky factor succeeds;
 meta["cholesky_jitter"] records it, None on the circulant path.  Both
-generators are numpy code; the covariance matrix is breuer_major's
-_toeplitz.
+generators are numpy code; the covariance matrix is the dense builder of
+steinchaos._toeplitz.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .breuer_major import BmInstance, _toeplitz, rho_values, sigma
+from ._toeplitz import _toeplitz
+from .breuer_major import BmInstance, rho_values, sigma
 from .chaos import hermite
 from .tensors import _jittered_cholesky
 

@@ -23,12 +23,10 @@ from steinchaos.breuer_major import (
     sigma,
     sigma_quadratic,
     _check_op_budget,
-    _complete_graph,
     _contraction_norms,
     _hurwitz_zeta,
-    _toeplitz,
-    _toeplitz_product,
 )
+from steinchaos._toeplitz import _complete_graph, _toeplitz, _toeplitz_product
 from steinchaos.bounds import gauss_bound_single
 from steinchaos.chaos import hermite
 from steinchaos.simulate import sample_fbm_increments

@@ -263,3 +263,33 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "breuer-major" in proc.stdout
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_chi2_example_slope_is_null_without_two_positive_bounds(tmp_path, capsys):
+    # the n = 1 bound is exactly 0, which has no logarithm
+    with np.errstate(divide="raise", invalid="raise"):
+        code, out = run_cli(tmp_path, {"command": "chi2-example", "parameters": {"ns": [1, 4]}})
+    assert code == EXIT_OK
+    rows = (out / "chi2_example.csv").read_text().strip().splitlines()[1:]
+    assert float(rows[0].split(",")[3]) == 0.0
+    assert _strict_json((out / "manifest.json").read_text())["result"]["slope"] is None
+    assert _strict_json(capsys.readouterr().out)["result"]["slope"] is None
+
+
+def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
+    slopes = []
+    for ns in ([1, 4, 16], [4, 16]):
+        code, out = run_cli(tmp_path, {"command": "chi2-example", "parameters": {"ns": ns}},
+                            out=f"out{len(ns)}")
+        assert code == EXIT_OK
+        slopes.append(_strict_json((out / "manifest.json").read_text())["result"]["slope"])
+    bounds = np.loadtxt(out / "chi2_example.csv", delimiter=",", skiprows=1)[:, 3]
+    assert slopes[0] == slopes[1]
+    assert slopes[0] == pytest.approx(math.log(bounds[1] / bounds[0]) / math.log(4.0), rel=1e-12)
