@@ -100,6 +100,8 @@ class BoundReport:
     bound: float
     unsym_squared_total: float | None = field(default=None)
 
+    CSV_HEADER = ("metric", "variance_term", "squared_total", "bound")  # names of csv_row
+
     def __post_init__(self):
         parts = self.variance_term + sum(v for _, v in self.contraction_terms)
         scale = max(1.0, abs(self.squared_total))

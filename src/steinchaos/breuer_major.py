@@ -32,7 +32,7 @@ import numpy as np
 
 from ._toeplitz import (_complete_graph, _entry_sum, _four_cycle, _toeplitz,
                         _trace_ops)
-from .bounds import BoundReport, _assemble, _pair_coeff
+from .bounds import BoundReport, _assemble, _metric_constant, _pair_coeff
 from .tensors import GramSpace, SymKernel
 
 __all__ = [
@@ -279,7 +279,7 @@ def bm_bound_exact(
         (r, _pair_coeff(inst.q, inst.q, r) * norms[r - 1])
         for r in range(1, inst.q)
     ]
-    return _assemble("kolmogorov", 1.0, variance, terms)
+    return _assemble(*_metric_constant("kolmogorov"), variance, terms)
 
 
 def bm_rate(H: float, q: int) -> tuple[float, str]:

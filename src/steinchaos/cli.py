@@ -23,6 +23,9 @@ and worker count; breuer-major gives the op budget of the contraction sums
 and each row's estimate against it; pearson gives the quadrature panel
 counts (panels taken from the batched Gauss-Kronrod rule, panels handed to
 scalar QUADPACK).
+Each command's parameters (name, kind, default) are one row of the table
+_COMMANDS; run reads them against it before anything runs, so an unknown or
+missing parameter or a value of the wrong kind is a config error.
 Exit codes: 0 ok, 2 config parse error, 3 precondition violation, 4 file
 I/O error.
 
@@ -45,11 +48,7 @@ import numpy as np
 
 from . import __version__, simulate
 from ._toeplitz import _toeplitz
-from .bounds import (
-    BoundError,
-    gamma_bound_single,
-    gauss_bound_single,
-)
+from .bounds import BoundError, BoundReport, gamma_bound_single, gauss_bound_single
 from .breuer_major import (DEFAULT_OP_BUDGET, BmInstance, BreuerMajorError, bm_bound_exact,
                            bm_table)
 from .chaos import ChaosError
@@ -62,14 +61,8 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
-_PRECONDITION_ERRORS = (
-    TensorError,
-    ChaosError,
-    BoundError,
-    BreuerMajorError,
-    PearsonError,
-    SimulationError,
-)
+_PRECONDITION_ERRORS = (TensorError, ChaosError, BoundError, BreuerMajorError, PearsonError,
+                        SimulationError)
 
 
 class ConfigError(Exception):
@@ -90,83 +83,74 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_kernel(path: Path) -> SymKernel:
-    obj = json.loads(path.read_text())
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"kernel file {str(path)!r} is not JSON: {exc}") from None
     return SymKernel.from_json_obj(obj)
 
 
-def _require(params: dict, key: str):
-    if key not in params:
-        raise ConfigError(f"missing parameter {key!r}")
-    return params[key]
+_KIND_NOUNS = {float: "a number", int: "an integer", list[int]: "a list of integers",
+               str: "a string", bool: "a JSON boolean"}
 
 
-def _number(key: str, value, kind: type):
-    """value as kind (int or float), else a ConfigError.
+def _value(key: str, kind, value):
+    """value as kind (float, int, list[int], str or bool), else a ConfigError.
 
-    Numbers and numeric strings convert; an int parameter refuses a
+    Numbers and numeric strings convert to float and int; an int refuses a
     non-integral value rather than truncate it.
     """
-    number = value
-    if isinstance(value, str):
-        try:
-            number = kind(value)
-        except ValueError:
-            pass
-    if not isinstance(number, bool):
-        if kind is float and isinstance(number, (int, float)):
-            return float(number)
-        if isinstance(number, int) or (isinstance(number, float) and number.is_integer()):
-            return int(number)
-    noun = "a number" if kind is float else "an integer"
-    raise ConfigError(f"parameter {key!r} must be {noun}, got {value!r}")
+    if kind == list[int] and isinstance(value, list):
+        return [_value(key, int, v) for v in value]
+    if kind in (str, bool) and isinstance(value, kind):
+        return value
+    if kind in (float, int):
+        number = value
+        if isinstance(value, str):
+            try:
+                number = kind(value)
+            except ValueError:
+                pass
+        if not isinstance(number, bool):
+            if kind is float and isinstance(number, (int, float)):
+                return float(number)
+            if isinstance(number, int) or (isinstance(number, float) and number.is_integer()):
+                return int(number)
+    raise ConfigError(f"parameter {key!r} must be {_KIND_NOUNS[kind]}, got {value!r}")
 
 
-def _param(params: dict, key: str, kind, default=None):
-    """params[key] as kind: float, int or list[int]; required if default is None."""
-    value = _require(params, key) if default is None else params.get(key, default)
-    if kind != list[int]:
-        return _number(key, value, kind)
-    if not isinstance(value, list):
-        raise ConfigError(f"parameter {key!r} must be a list of integers, got {value!r}")
-    return [_number(key, v, int) for v in value]
+def _parse(schema: dict, params: dict) -> dict:
+    """params read against a schema {name: (kind, default)}; default None = required."""
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown}; this command takes {list(schema)}")
+    values = {}
+    for key, (kind, default) in schema.items():
+        if key not in params and default is None:
+            raise ConfigError(f"missing parameter {key!r}")
+        values[key] = _value(key, kind, params.get(key, default))
+    return values
 
 
-# column names of BoundReport.csv_row
-REPORT_HEADER = ["metric", "variance_term", "squared_total", "bound"]
+# Every command takes its parsed parameters as keyword arguments and returns
+# (CSV header, CSV rows, result); run writes the CSV and the manifest.
 
 
-def _cmd_bound(params: dict, out_dir: Path) -> dict:
-    kernel = _load_kernel(Path(_require(params, "kernel")))
-    metric = params.get("metric", "kolmogorov")
-    report = gauss_bound_single(kernel, metric)
-    _write_csv(out_dir / "bound.csv", REPORT_HEADER, [report.csv_row()])
-    return {"files": ["bound.csv"], "report": report.to_json_obj()}
+def _cmd_kernel_report(kernel: str, metric: str, nu: float | None = None):
+    sym = _load_kernel(Path(kernel))
+    report = gauss_bound_single(sym, metric) if nu is None else gamma_bound_single(sym, nu, metric)
+    return BoundReport.CSV_HEADER, [report.csv_row()], {"report": report.to_json_obj()}
 
 
-def _cmd_gamma(params: dict, out_dir: Path) -> dict:
-    kernel = _load_kernel(Path(_require(params, "kernel")))
-    nu = _param(params, "nu", float)
-    metric = params.get("metric", "h2")
-    report = gamma_bound_single(kernel, nu, metric)
-    _write_csv(out_dir / "gamma.csv", REPORT_HEADER, [report.csv_row()])
-    return {"files": ["gamma.csv"], "report": report.to_json_obj()}
-
-
-def _cmd_breuer_major(params: dict, out_dir: Path) -> dict:
-    H = _param(params, "H", float)
-    q = _param(params, "q", int)
-    ns = _param(params, "ns", list[int])
+def _cmd_breuer_major(H: float, q: int, ns: list[int]):
     rows_dicts = bm_table(H, q, ns)
-    header = [
-        "H", "q", "n", "variance_term", "squared_total", "kol_bound", "rate_exponent",
-    ]
+    header = ["H", "q", "n", "variance_term", "squared_total", "kol_bound", "rate_exponent"]
     rows = [[r[c] for c in header] for r in rows_dicts]
-    _write_csv(out_dir / "breuer_major.csv", header, rows)
     diagnostics = {
         "op_budget": DEFAULT_OP_BUDGET,
         "op_estimates": [r["op_estimate"] for r in rows_dicts],
     }
-    return {"files": ["breuer_major.csv"], "rows": len(rows), "diagnostics": diagnostics}
+    return header, rows, {"rows": len(rows), "diagnostics": diagnostics}
 
 
 def _chi2_sequence(r: np.ndarray) -> np.ndarray:
@@ -175,12 +159,9 @@ def _chi2_sequence(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cmd_chi2_example(params: dict, out_dir: Path) -> dict:
-    ns = _param(params, "ns", list[int], [16, 32, 64, 128, 256, 512])
+def _cmd_chi2_example(ns: list[int], metric: str):
     if any(n < 1 for n in ns):
         raise ConfigError("all n must be >= 1")
-    metric = params.get("metric", "h1")
-    header = ["n", "variance_term", "squared_total", "bound"]
     rows = []
     for n in ns:
         matrix = _toeplitz(_chi2_sequence(np.arange(n)) / n)
@@ -191,26 +172,21 @@ def _cmd_chi2_example(params: dict, out_dir: Path) -> dict:
     fit = bounds > 0.0  # a bound of 0 (n = 1) has no log-log slope
     slope = (float(np.polyfit(np.log(grid[fit]), np.log(bounds[fit]), 1)[0])
              if np.count_nonzero(fit) >= 2 else None)
-    _write_csv(out_dir / "chi2_example.csv", header, rows)
-    return {"files": ["chi2_example.csv"], "slope": slope}
+    return ["n", "variance_term", "squared_total", "bound"], rows, {"slope": slope}
 
 
-def _cmd_pearson(params: dict, out_dir: Path) -> dict:
-    spec = PearsonSpec.from_json_obj(
-        {k: _param(params, k, float) for k in ("alpha", "beta", "gamma", "a", "b")}
-    )
-    grid_size = _param(params, "grid", int, 401)
+def _cmd_pearson(alpha: float, beta: float, gamma: float, a: float, b: float, grid: int):
+    if grid < 1:
+        raise ConfigError(f"parameter 'grid' must be >= 1, got {grid}")
+    spec = PearsonSpec(alpha, beta, gamma, a, b)
     density = density_from_tau(spec)
     lo, hi = density.effective_range()
     span = hi - lo
-    xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid_size)
-    header = ["x", "pdf", "tau"]
+    xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid)
     rows = np.column_stack([xs, density.pdf(xs), spec.tau(xs)]).tolist()
-    _write_csv(out_dir / "pearson.csv", header, rows)
     ode = pearson_classify(spec)
     moments = [density.moment(k) for k in range(5)]
-    return {
-        "files": ["pearson.csv"],
+    return ["x", "pdf", "tau"], rows, {
         "normalization": density.normalization,
         "moments": moments,
         "ode_derived": list(ode.derived),
@@ -227,73 +203,81 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).tolist()), float, x.size)
 
 
-def _cmd_simulate(params: dict, out_dir: Path) -> dict:
-    H = _param(params, "H", float)
-    q = _param(params, "q", int)
-    n = _param(params, "n", int)
-    count = _param(params, "count", int, 100_000)
-    seed = _param(params, "seed", int, 0)
+def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples: bool):
     inst = BmInstance(H, q, n)
     batch = sample_Zn(H, q, n, count, seed)
     report = bm_bound_exact(inst)
     ks = empirical_kolmogorov(batch.values, _normal_cdf)
-    header = [
-        "H", "q", "n", "count", "seed",
-        "sample_mean", "sample_var", "ks_vs_normal", "kol_bound",
-    ]
-    row = [
-        H, q, n, count, seed,
-        float(np.mean(batch.values)),
-        float(np.var(batch.values)),
-        ks,
-        report.bound,
-    ]
-    _write_csv(out_dir / "simulate.csv", header, [row])
-    files = ["simulate.csv"]
-    if params.get("dump_samples"):
-        sample_path = out_dir / "samples.csv"
-        lines = ["# " + json.dumps(batch.meta, sort_keys=True), "value"]
-        lines.extend(_fmt(float(v)) for v in batch.values)
-        sample_path.write_text("\n".join(lines) + "\n")
-        files.append("samples.csv")
-    diagnostics = {
+    header = ["H", "q", "n", "count", "seed",
+              "sample_mean", "sample_var", "ks_vs_normal", "kol_bound"]
+    row = [H, q, n, count, seed,
+           float(np.mean(batch.values)), float(np.var(batch.values)), ks, report.bound]
+    result = {"ks": ks, "bound": report.bound, "diagnostics": {
         "generator": batch.meta["increments"],
         "circulant_fallback": batch.meta["circulant_fallback"],
         "cholesky_jitter": batch.meta["cholesky_jitter"],
         "workers": simulate.WORKERS,
-    }
-    return {"files": files, "ks": ks, "bound": report.bound, "diagnostics": diagnostics}
+    }}
+    if dump_samples:
+        lines = ["# " + json.dumps(batch.meta, sort_keys=True), "value"]
+        lines.extend(_fmt(float(v)) for v in batch.values)
+        result["extra_files"] = {"samples.csv": "\n".join(lines) + "\n"}
+    return header, [row], result
 
 
+# command -> (CSV file, command function, schema {parameter: (kind, default)});
+# a default of None marks a required parameter
+_KERNEL, _HQ = {"kernel": (str, None)}, {"H": (float, None), "q": (int, None)}
 _COMMANDS = {
-    "bound": _cmd_bound,
-    "gamma": _cmd_gamma,
-    "breuer-major": _cmd_breuer_major,
-    "chi2-example": _cmd_chi2_example,
-    "pearson": _cmd_pearson,
-    "simulate": _cmd_simulate,
+    "bound": ("bound.csv", _cmd_kernel_report, {**_KERNEL, "metric": (str, "kolmogorov")}),
+    "gamma": ("gamma.csv", _cmd_kernel_report,
+              {**_KERNEL, "nu": (float, None), "metric": (str, "h2")}),
+    "breuer-major": ("breuer_major.csv", _cmd_breuer_major,
+                     {**_HQ, "ns": (list[int], None)}),
+    "chi2-example": ("chi2_example.csv", _cmd_chi2_example,
+                     {"ns": (list[int], [16, 32, 64, 128, 256, 512]), "metric": (str, "h1")}),
+    "pearson": ("pearson.csv", _cmd_pearson,
+                {**{k: (float, None) for k in ("alpha", "beta", "gamma", "a", "b")},
+                 "grid": (int, 401)}),
+    "simulate": ("simulate.csv", _cmd_simulate,
+                 {**_HQ, "n": (int, None), "count": (int, 100_000), "seed": (int, 0),
+                  "dump_samples": (bool, False)}),
 }
 
 
 def run(config: dict, out_dir: Path, seed_override: int | None = None) -> dict:
-    """Execute one validated config; returns the manifest dictionary."""
+    """Execute one config; returns the manifest dictionary.
+
+    The parameters are read against the command's schema before anything
+    runs or is written, so every malformed config is a ConfigError.
+    """
     if not isinstance(config, dict) or "command" not in config:
         raise ConfigError("config must be an object with a 'command' field")
     command = config["command"]
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    params = dict(config.get("parameters", {}))
+    csv_name, command_fn, schema = _COMMANDS[command]
+    params = config.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"'parameters' must be an object, got {params!r}")
     if seed_override is not None:
-        params["seed"] = int(seed_override)
+        if "seed" not in schema:
+            raise ConfigError(f"--seed applies only to commands with a seed, not {command!r}")
+        params = {**params, "seed": int(seed_override)}
+    values = _parse(schema, params)
     started = time.perf_counter()
-    result = _COMMANDS[command](params, out_dir)
+    header, rows, result = command_fn(**values)
+    _write_csv(out_dir / csv_name, header, rows)
+    extra_files = result.pop("extra_files", {})
+    for name, text in extra_files.items():
+        (out_dir / name).write_text(text)
     diagnostics = result.pop("diagnostics", None)
     manifest = {
         "command": command,
         "config": {"command": command, "parameters": params},
         "version": __version__,
         "elapsed_seconds": time.perf_counter() - started,
-        "result": result,
+        "result": {"files": [csv_name, *extra_files], **result},
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics

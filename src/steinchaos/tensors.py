@@ -120,7 +120,10 @@ class GramSpace:
     __slots__ = ("dim", "gram", "_chol", "_jitter", "_is_identity")
 
     def __init__(self, gram: np.ndarray | Iterable[Iterable[float]]):
-        g = np.array(gram, dtype=float)
+        try:
+            g = np.array(gram, dtype=float)
+        except (TypeError, ValueError) as exc:  # non-numeric or ragged
+            raise TensorError(f"gram must be a numeric square matrix: {exc}") from None
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise TensorError(f"gram must be a square matrix, got shape {g.shape}")
         if not np.array_equal(g, g.T):
@@ -315,12 +318,16 @@ class SymKernel:
 
     @classmethod
     def from_json_obj(cls, obj: dict, space: GramSpace | None = None) -> "SymKernel":
-        if space is None:
-            space = GramSpace(obj["gram"])
-        if space.dim != int(obj["dim"]):
+        try:
+            if space is None:
+                space = GramSpace(obj["gram"])
+            dim, order = int(obj["dim"]), int(obj["order"])
+            coeffs = {tuple(int(i) for i in idx): float(val) for idx, val in obj["entries"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TensorError(f"malformed kernel object: {exc!r}") from None
+        if space.dim != dim:
             raise TensorError("kernel dim does not match the supplied space")
-        coeffs = {tuple(idx): val for idx, val in obj["entries"]}
-        return cls(space, int(obj["order"]), coeffs)
+        return cls(space, order, coeffs)
 
     @classmethod
     def from_json(cls, text: str, space: GramSpace | None = None) -> "SymKernel":

@@ -188,14 +188,16 @@ def test_bm_resource_guard():
 
 def test_bm_resource_guard_counts_complete_graph_sums():
     # at q = 3 the r = 1, a = 1 sum is a complete graph on four indices,
-    # summed over (2n)^3 lag triples
+    # n lags of FFT convolutions: the guard counts 1,970,176 ops at n = 64
+    # and 92,416 at n = 16, either side of the 8 * 32^3 = 262,144 budget
     with pytest.raises(ResourceGuardError):
         bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=8 * 32**3)
     bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=8 * 32**3)
 
 
 def test_bm_resource_guard_admits_what_runs_in_seconds():
-    # the lag sums make q = 3 at n = 256 about a 1e8-op instance
+    # the FFT complete-graph sums make q = 3 at n = 256 about a 4e7-op
+    # instance (39,387,136 by the guard's count)
     _check_op_budget(BmInstance(0.6, 3, 256), DEFAULT_OP_BUDGET)
     _check_op_budget(BmInstance(0.7, 2, 2**15), DEFAULT_OP_BUDGET)
 

@@ -293,3 +293,78 @@ def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
     bounds = np.loadtxt(out / "chi2_example.csv", delimiter=",", skiprows=1)[:, 3]
     assert slopes[0] == slopes[1]
     assert slopes[0] == pytest.approx(math.log(bounds[1] / bounds[0]) / math.log(4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ({"command": "bound", "parameters": [1, 2]}, ()),
+        ({"command": "bound", "parameters": "abc"}, ()),
+        ({"command": ["bound"]}, ()),
+        ({"command": "chi2-example", "parameters": {"metric": 5}}, ()),
+        ({"command": "chi2-example", "parameters": {"nss": [4, 8]}}, ()),
+        ({"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8], "seed": 3}}, ()),
+        ({"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8]}},
+         ("--seed", "5")),
+        ({"command": "simulate",
+          "parameters": {"H": 0.6, "q": 2, "n": 8, "count": 100, "dump_samples": "no"}}, ()),
+        ({"command": "pearson",
+          "parameters": {"alpha": 0, "beta": 0, "gamma": 1, "a": "-inf", "b": "inf", "grid": -1}},
+         ()),
+    ],
+    ids=["parameters-list", "parameters-string", "command-list", "metric-number",
+         "misspelled-parameter", "unknown-seed", "seed-flag-without-seed", "dump-samples-string",
+         "negative-grid"],
+)
+def test_bad_inputs_are_config_errors(tmp_path, capsys, config, extra):
+    code, out = run_cli(tmp_path, config, extra=extra)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad config" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+_KERNEL_OBJ = {"dim": 2, "order": 2, "entries": [[[0, 0], 0.5], [[1, 1], 0.5]],
+               "gram": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("{not json", EXIT_CONFIG),
+        (json.dumps({k: v for k, v in _KERNEL_OBJ.items() if k != "gram"}), EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, order="x")), EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, entries=[[[0, 0], "half"]])), EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, gram=[[1, "x"], ["x", 1]])), EXIT_PRECONDITION),
+    ],
+    ids=["not-json", "no-gram", "order-string", "entry-string", "gram-string"],
+)
+@pytest.mark.parametrize("command", ["bound", "gamma"])
+def test_malformed_kernel_files(tmp_path, capsys, command, text, expected):
+    path = tmp_path / "kernel.json"
+    path.write_text(text)
+    parameters = {"kernel": str(path), "nu": 1.0} if command == "gamma" else {"kernel": str(path)}
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_well_formed_kernel_file_runs_both_commands(tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(_KERNEL_OBJ))
+    for command, extra in (("bound", {}), ("gamma", {"nu": 1.0})):
+        code, out = run_cli(tmp_path, {"command": command,
+                                       "parameters": {"kernel": str(path), **extra}}, out=command)
+        assert code == EXIT_OK
+        header = (out / f"{command}.csv").read_text().splitlines()[0]
+        assert header == "metric,variance_term,squared_total,bound"
+
+
+def test_dump_samples_false_writes_one_file(tmp_path):
+    config = {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 8, "count": 100,
+                                                    "dump_samples": False}}
+    code, out = run_cli(tmp_path, config)
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["result"]["files"] == ["simulate.csv"]
+    assert not (out / "samples.csv").exists()

@@ -218,6 +218,12 @@ def test_gram_validation_rejects_indefinite():
         GramSpace(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("gram", [[[1.0, "x"], ["x", 1.0]], [[1.0, 0.0], [0.0]], [[1.0, {}]]])
+def test_gram_validation_rejects_non_numeric_and_ragged(gram):
+    with pytest.raises(TensorError):
+        GramSpace(gram)
+
+
 def test_cholesky_with_borderline_matrix():
     g = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, singular
     space = GramSpace(g)
@@ -265,6 +271,22 @@ def test_kernel_json_round_trip():
     # schema spot check
     obj = json.loads(k.to_json())
     assert set(obj) == {"dim", "order", "entries", "gram"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"gram": None}, {"dim": None}, {"entries": None}, {"order": "x"},
+     {"entries": [[[0, 0], "half"]]}, {"entries": [[["a", 0], 0.5]]}, {"entries": [[[0, 0]]]},
+     {"gram": [[1.0, "x"], ["x", 1.0]]}],
+)
+def test_kernel_json_malformed_is_tensor_error(change):
+    obj = {"dim": 2, "order": 2, "entries": [[[0, 0], 0.5]], "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    obj.update(change)
+    obj = {k: v for k, v in obj.items() if v is not None}  # None drops the key
+    with pytest.raises(TensorError):
+        SymKernel.from_json_obj(obj)
+    with pytest.raises(TensorError):
+        SymKernel.from_json_obj([obj])
 
 
 def test_kernel_arithmetic(plane):
