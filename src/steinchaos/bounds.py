@@ -22,6 +22,10 @@ product), _midpoint_sq (the Gamma midpoint term) and, for the sum bounds,
 _cross_terms (the (i, j, r) sum of contraction norms, which takes
 ||f x_0 f|| = ||f||^2 from the inner product and forms no f x_0 f tensor).
 
+Each kernel bound first moves its kernels into the orthonormal frame of
+their Gram space (``tensors._orthonormal``, one Cholesky factor per space),
+so every contraction, symmetrization and norm after that runs under G = I.
+
 Reports always carry the term-by-term decomposition so experiments can
 attribute error mass to the variance mismatch versus each contraction order.
 """
@@ -36,6 +40,7 @@ from typing import Callable
 from .chaos import ChaosVector, _pairing_weight, derivative_norm_sq
 from .tensors import (
     SymKernel,
+    _orthonormal,
     contract,
     gram_inner,
     raw_norm_sq,
@@ -229,6 +234,7 @@ def gauss_bound_single(f: SymKernel, metric: str = "kolmogorov") -> BoundReport:
     q = f.order
     if q < 2:
         raise BoundError(f"Gaussian chaos bound needs order >= 2, got {q}")
+    f = _orthonormal(f)
     variance = _variance([f], 1.0)
     terms: list[tuple[int, float]] = []
     unsym = variance
@@ -264,7 +270,7 @@ def gauss_bound_sum(
         raise BoundError("orders must be distinct")
     if any(q < 2 for q in orders):
         raise BoundError("all orders must be >= 2")
-    kernels = sorted(kernels, key=lambda k: k.order)
+    kernels = [_orthonormal(k) for k in sorted(kernels, key=lambda k: k.order)]
     variance = 2.0 * _variance(kernels, 1.0)
     per_r = _cross_terms(kernels, 2.0 * len(kernels) ** 2, lambda q, r: r == q)
     return _assemble(metric, constant, variance, sorted(per_r.items()))
@@ -349,6 +355,7 @@ def gamma_bound_single(
     if q < 2 or q % 2 != 0:
         raise BoundError(f"Gamma chaos bound needs an even order >= 2, got {q}")
     metric, constant = _metric_constant(metric, nu)
+    g = _orthonormal(g)
     variance = _variance([g], 2.0 * nu)
     terms = [
         (r, _pair_coeff(q, q, r) * raw_norm_sq(g.space, contract(g, g, r)))
@@ -389,7 +396,7 @@ def gamma_bound_sum(
         raise BoundError(f"orders must satisfy q2 > 2 q1, got {q1}, {q2}")
     nu = nu1 + nu2
     metric, constant = _metric_constant(metric, nu)
-    kernels = [f1, f2]
+    kernels = [_orthonormal(f1), _orthonormal(f2)]
     variance = 3.0 * _variance(kernels, 2.0 * nu)
     per_r = _cross_terms(kernels, 12.0, lambda q, r: r == q or 2 * r == q)
     for f in kernels:
@@ -408,6 +415,7 @@ def chi2_double_bound(f: SymKernel) -> float:
     """
     if f.order != 2:
         raise BoundError(f"chi2 double bound needs an order-2 kernel, got {f.order}")
+    f = _orthonormal(f)
     first = 8.0 * math.sqrt(2.0) * math.sqrt(
         max(raw_norm_sq(f.space, contract(f, f, 1)), 0.0)
     )

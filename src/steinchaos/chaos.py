@@ -34,6 +34,7 @@ from . import wick
 from .tensors import (
     GramSpace,
     SymKernel,
+    _orthonormal,
     contract,
     gram_inner,
     sorted_coeffs,
@@ -185,12 +186,7 @@ class ChaosVector:
         the kernels in the Cholesky-orthonormalized frame; the term stands for
         coeff * prod He_multiplicity(x_var)."""
         for kernel in self.terms:
-            arr = kernel.to_dense()
-            if not self.space.is_identity:
-                L = self.space.cholesky()
-                for _ in range(kernel.order):
-                    arr = np.tensordot(arr, L, axes=([0], [0]))
-            for index, coeff in sorted_coeffs(arr).items():
+            for index, coeff in sorted_coeffs(_orthonormal(kernel).to_dense()).items():
                 yield coeff, tuple(
                     (var, sum(1 for _ in group))
                     for var, group in itertools.groupby(index)

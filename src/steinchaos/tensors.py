@@ -13,6 +13,14 @@ coefficient of the *symmetrized* basis tensor, which is the sum of the array
 over all distinct orderings of J.  That form is the JSON exchange format and
 drives Hermite evaluation; the dict constructor of ``SymKernel`` reads it.
 Dense storage costs d^q floats, which stays small while orders do (q <= ~6).
+
+G enters in two places.  The public ``contract``, ``gram_inner`` and
+``raw_norm_sq`` apply G to every paired axis, so they keep the Gram-metric
+meaning on any space.  ``_orthonormal`` instead moves a kernel once into the
+Cholesky frame (G = L L^T, every axis contracted with L), where G is the
+identity; the bounds and Hermite evaluation work there, so each of their
+contractions and norms takes the identity fast path.  That frame factors G,
+so a bound on a non-identity space fills its ``cholesky_jitter``.
 """
 
 from __future__ import annotations
@@ -76,6 +84,27 @@ def multiindex_multiplicity(index: tuple[int, ...]) -> int:
     for _, group in itertools.groupby(index):
         count //= math.factorial(sum(1 for _ in group))
     return count
+
+
+def _integral(values, what: str) -> np.ndarray:
+    """values as an int64 array; TensorError unless every entry is an integer
+    (an integral float such as 1.0 reads as 1, 2.5 is refused)."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise TensorError(f"{what} must be numeric: {exc}") from None
+    exact = (np.abs(arr) < 2.0**53) & (arr == np.trunc(arr))  # False for NaN and inf
+    if not exact.all():
+        raise TensorError(f"{what} must be integers, got {float(arr[~exact].flat[0])!r}")
+    return arr.astype(np.int64)
+
+
+def _integer(value, what: str) -> int:
+    """One integer, read as strictly as ``_integral`` reads an array."""
+    arr = _integral(value, what)
+    if arr.ndim:
+        raise TensorError(f"{what} must be a single integer")
+    return int(arr)
 
 
 def sorted_coeffs(dense: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -207,20 +236,37 @@ class SymKernel:
     def __init__(
         self, space: GramSpace, order: int, coeffs: Mapping[tuple[int, ...], float]
     ):
+        order = _integer(order, "order")
         if order < 0:
             raise InvalidOrderError(f"order must be >= 0, got {order}")
         arr = np.zeros((space.dim,) * order)
-        for index, value in coeffs.items():
-            idx = tuple(int(i) for i in index)
-            if len(idx) != order:
-                raise TensorError(f"multi-index {idx} has length != order {order}")
-            if any(i < 0 or i >= space.dim for i in idx):
-                raise TensorError(f"multi-index {idx} out of range [0, {space.dim})")
-            if tuple(sorted(idx)) != idx:
-                raise TensorError(f"multi-index {idx} is not sorted")
-            entry = float(value) / multiindex_multiplicity(idx)
-            for perm in set(itertools.permutations(idx)):
-                arr[perm] = entry
+        if coeffs:
+            keys = list(coeffs)
+            index = _integral(keys, "multi-index entries")  # refuses ragged ones too
+            try:
+                values = np.array(list(coeffs.values()), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise TensorError(f"kernel values must be numeric: {exc}") from None
+            if index.shape != (len(keys), order) or values.shape != (len(keys),):
+                raise TensorError(f"every multi-index needs length {order} and a scalar value")
+            bad = ((index < 0) | (index >= space.dim)).any(axis=1)
+            if bad.any():
+                raise TensorError(
+                    f"multi-index {keys[bad.argmax()]} out of range [0, {space.dim})"
+                )
+            bad = (index[:, 1:] < index[:, :-1]).any(axis=1)
+            if bad.any():
+                raise TensorError(f"multi-index {keys[bad.argmax()]} is not sorted")
+            # prod over each row of the position within its run of equal
+            # entries is prod_k m_k!, so q!/that is the number of orderings
+            run = np.ones(index.shape, dtype=np.int64)
+            for j in range(1, order):
+                run[:, j] = np.where(index[:, j] == index[:, j - 1], run[:, j - 1] + 1, 1)
+            entry = values / (math.factorial(order) // run.prod(axis=1))
+            place = space.dim ** np.arange(order - 1, -1, -1)  # row-major strides
+            flat = arr.reshape(-1)
+            for perm in itertools.permutations(range(order)):
+                flat[index @ place[list(perm)]] = entry
         self._set(space, arr)
 
     def _set(self, space: GramSpace, arr: np.ndarray) -> None:
@@ -321,8 +367,8 @@ class SymKernel:
         try:
             if space is None:
                 space = GramSpace(obj["gram"])
-            dim, order = int(obj["dim"]), int(obj["order"])
-            coeffs = {tuple(int(i) for i in idx): float(val) for idx, val in obj["entries"]}
+            dim, order = _integer(obj["dim"], "dim"), obj["order"]
+            coeffs = {tuple(idx): float(val) for idx, val in obj["entries"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorError(f"malformed kernel object: {exc!r}") from None
         if space.dim != dim:
@@ -366,6 +412,24 @@ def symmetrize(space: GramSpace, raw: np.ndarray) -> SymKernel:
             acc += np.swapaxes(sym, i, k - 1)
         sym = acc / k
     return SymKernel._wrap(space, sym)
+
+
+def _orthonormal(f: SymKernel) -> SymKernel:
+    """f in the orthonormal frame of its space, over the identity space.
+
+    Every axis is contracted with the Cholesky factor L of G = L L^T, so
+    contractions, symmetrization and norms of the result under G = I equal
+    the Gram-metric ones of f (up to the jitter of ``cholesky``).  On an
+    identity space f itself is returned.
+    """
+    if f.space.is_identity:
+        return f
+    L = f.space.cholesky()
+    arr = f.to_dense()
+    for _ in range(f.order):
+        # tensordot consumes the leading axis and appends its image at the end
+        arr = np.tensordot(arr, L, axes=([0], [0]))
+    return SymKernel._wrap(GramSpace.standard(f.space.dim), arr)
 
 
 def _apply_gram(space: GramSpace, arr: np.ndarray, naxes: int) -> np.ndarray:

@@ -18,6 +18,13 @@ def random_gram(dim: int, rng: np.random.Generator) -> GramSpace:
     return GramSpace(g)
 
 
+def rank_two_gram(dim: int, rng: np.random.Generator) -> GramSpace:
+    """A PSD Gram space of rank 2: its Cholesky factor needs jitter."""
+    v = rng.normal(size=(dim, 2))
+    g = v @ v.T
+    return GramSpace((g + g.T) / 2.0)
+
+
 def random_kernel(
     space: GramSpace, order: int, rng: np.random.Generator, scale: float = 1.0
 ) -> SymKernel:

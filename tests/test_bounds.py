@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import derivative_norm_poly, random_gram, random_kernel
+from conftest import derivative_norm_poly, random_gram, random_kernel, rank_two_gram
 from steinchaos import wick
 from steinchaos.bounds import (
     BoundError,
@@ -22,7 +22,7 @@ from steinchaos.bounds import (
     second_chaos_gamma_bound,
     stein_constants,
 )
-from steinchaos.chaos import ChaosVector, exact_moment, malliavin_inner
+from steinchaos.chaos import ChaosVector, derivative_norm_sq, exact_moment, malliavin_inner
 from steinchaos.tensors import (
     GramSpace,
     SymKernel,
@@ -508,3 +508,162 @@ def test_all_bounds_nonnegative():
         assert gauss_bound_single(f).squared_total >= 0.0
         assert gamma_bound_single(f, 1.0).squared_total >= 0.0
         assert chi2_double_bound(f) >= 0.0
+
+
+# ----------------------------------------------------------------------
+# the orthonormal frame: every bound against its Gram-metric formula
+# ----------------------------------------------------------------------
+#
+# The oracles below evaluate each bound's formula with the public
+# Gram-metric functions (contract, gram_inner, raw_norm_sq, symmetrize) on
+# the kernel's own space, in the bounds' operation order.  The bounds move
+# their kernels into the Cholesky frame first, so over a non-identity Gram
+# the two agree to rounding; over G = I the frame is the kernel itself and
+# they agree bit for bit.
+
+
+def _coeff(p, q, r):
+    return (
+        p**2
+        * (math.factorial(r - 1) * math.comb(p - 1, r - 1) * math.comb(q - 1, r - 1)) ** 2
+        * math.factorial(p + q - 2 * r)
+    )
+
+
+def _variance_oracle(kernels, target):
+    return (target - sum(math.factorial(f.order) * gram_inner(f, f) for f in kernels)) ** 2
+
+
+def _midpoint_oracle(g):
+    q = g.order
+    diff = (1.0 / midpoint_constant(q)) * symmetrize(g.space, contract(g, g, q // 2)) - g
+    return math.factorial(q) * gram_inner(diff, diff)
+
+
+def _cross_oracle(kernels, prefactor, skip):
+    norms = [
+        [gram_inner(f, f)]
+        + [math.sqrt(max(raw_norm_sq(f.space, contract(f, f, k)), 0.0))
+           for k in range(1, f.order)]
+        for f in kernels
+    ]
+    per_r = {}
+    for i, fi in enumerate(kernels):
+        for j, fj in enumerate(kernels):
+            p, q = fi.order, fj.order
+            for r in range(1, min(p, q) + 1):
+                if not (i == j and skip(p, r)):
+                    value = prefactor * _coeff(p, q, r) * norms[i][p - r] * norms[j][q - r]
+                    per_r[r] = per_r.get(r, 0.0) + value
+    return sorted(per_r.items())
+
+
+def _gauss_single_oracle(f):
+    q = f.order
+    variance = _variance_oracle([f], 1.0)
+    terms, unsym = [], variance
+    for r in range(1, q):
+        raw = contract(f, f, r)
+        sym = symmetrize(f.space, raw)
+        terms.append((r, _coeff(q, q, r) * gram_inner(sym, sym)))
+        unsym += _coeff(q, q, r) * raw_norm_sq(f.space, raw)
+    return variance, terms, unsym
+
+
+def _gamma_single_oracle(g, nu):
+    q = g.order
+    terms = [(r, _coeff(q, q, r) * raw_norm_sq(g.space, contract(g, g, r)))
+             for r in range(1, q) if 2 * r != q]
+    terms = sorted(terms + [(q // 2, 4.0 * _midpoint_oracle(g))])
+    return _variance_oracle([g], 2.0 * nu), terms, None
+
+
+def _gauss_sum_oracle(kernels):
+    kernels = sorted(kernels, key=lambda k: k.order)
+    terms = _cross_oracle(kernels, 2.0 * len(kernels) ** 2, lambda q, r: r == q)
+    return 2.0 * _variance_oracle(kernels, 1.0), terms, None
+
+
+def _gamma_sum_oracle(f1, nu1, f2, nu2):
+    per_r = dict(_cross_oracle([f1, f2], 12.0, lambda q, r: r == q or 2 * r == q))
+    for f in (f1, f2):
+        per_r[f.order // 2] = per_r.get(f.order // 2, 0.0) + 24.0 * _midpoint_oracle(f)
+    return 3.0 * _variance_oracle([f1, f2], 2.0 * (nu1 + nu2)), sorted(per_r.items()), None
+
+
+def _chi2_double_oracle(f):
+    first = 8.0 * math.sqrt(2.0) * math.sqrt(
+        max(raw_norm_sq(f.space, contract(f, f, 1)), 0.0)
+    )
+    hvec = ChaosVector.single(symmetrize(f.space, contract(f, f, 0)))
+    x = ChaosVector.build(f.space, 2.0) + 2.0 * hvec - 0.25 * derivative_norm_sq(hvec)
+    return first + math.sqrt(2.0 * math.pi * x.second_moment())
+
+
+def _assert_matches_oracle(report, oracle, exact):
+    variance, terms, unsym = oracle
+    got = [report.variance_term] + [v for _, v in report.contraction_terms]
+    want = [variance] + [v for _, v in terms]
+    if unsym is not None:
+        got.append(report.unsym_squared_total)
+        want.append(unsym)
+    assert [r for r, _ in report.contraction_terms] == [r for r, _ in terms]
+    if exact:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _frame_cases(rng, dims):
+    """(space, exact) pairs: identity spaces, random positive definite Gram
+    spaces and a rank-2 PSD one, whose Cholesky factor needs jitter."""
+    cases = [(GramSpace.standard(d), True) for d in dims]
+    cases += [(random_gram(d, rng), False) for d in dims]
+    cases.append((rank_two_gram(dims[-1], rng), False))
+    return cases
+
+
+def test_single_bounds_match_gram_metric_oracle():
+    rng = np.random.default_rng(2700)
+    for space, exact in _frame_cases(rng, (3, 5)):
+        for q in (2, 3, 4):
+            f = random_kernel(space, q, rng, scale=0.5)
+            _assert_matches_oracle(gauss_bound_single(f, "tv"), _gauss_single_oracle(f), exact)
+            if q % 2 == 0:
+                for nu in (1.0, 2.5):
+                    _assert_matches_oracle(gamma_bound_single(f, nu), _gamma_single_oracle(f, nu),
+                                           exact)
+        f = random_kernel(space, 2, rng, scale=0.8)
+        got, want = chi2_double_bound(f), _chi2_double_oracle(f)
+        assert got == want if exact else got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the frame factors a non-identity Gram matrix and records its jitter
+        assert (space.cholesky_jitter is None) == space.is_identity
+    assert space.cholesky_jitter > 0.0  # the rank-2 space, last of the cases
+
+
+def test_sum_bounds_match_gram_metric_oracle():
+    rng = np.random.default_rng(2800)
+    for space, exact in _frame_cases(rng, (3, 5)):
+        for orders in ((2, 3), (4, 2), (2, 3, 4)):
+            kernels = [random_kernel(space, q, rng, scale=0.5) for q in orders]
+            _assert_matches_oracle(gauss_bound_sum(kernels), _gauss_sum_oracle(kernels), exact)
+    # order 6 contracts to order 10: d = 3 keeps that at 3^10 entries
+    for space, exact in _frame_cases(rng, (3,)):
+        f1, f2 = random_kernel(space, 2, rng, scale=0.7), random_kernel(space, 6, rng, scale=0.3)
+        _assert_matches_oracle(gamma_bound_sum(f1, 0.6, f2, 0.4),
+                               _gamma_sum_oracle(f1, 0.6, f2, 0.4), exact)
+
+
+def test_gamma_bound_memory_in_the_frame():
+    # The order-6 contraction f x_1 f has 10^6 entries (7.6 MiB).  Applying
+    # G to each of its axes holds two or three such arrays at once
+    # (22.9 MiB traced); in the frame the contraction itself is the peak.
+    rng = np.random.default_rng(2900)
+    g = random_kernel(random_gram(10, rng), 4, rng)
+    tracemalloc.start()
+    try:
+        gamma_bound_single(g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

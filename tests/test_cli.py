@@ -368,3 +368,34 @@ def test_dump_samples_false_writes_one_file(tmp_path):
     assert code == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["result"]["files"] == ["simulate.csv"]
     assert not (out / "samples.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"order": 2.5, "entries": [[[0, 0.7], 0.5]]}, {"entries": [[[0, 0.7], 0.5]]},
+     {"order": 2.5}, {"dim": 2.5}],
+    ids=["order-and-index", "index", "order", "dim"],
+)
+@pytest.mark.parametrize("command", ["bound", "gamma"])
+def test_non_integral_kernel_files_exit_3(tmp_path, capsys, command, change):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(dict(_KERNEL_OBJ, **change)))
+    parameters = {"kernel": str(path), "nu": 1.0} if command == "gamma" else {"kernel": str(path)}
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == EXIT_PRECONDITION
+    assert "integers" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_integral_floats_in_kernel_files_read_as_integers(tmp_path):
+    floats = dict(_KERNEL_OBJ, dim=2.0, order=2.0,
+                  entries=[[[0.0, 0.0], 0.5], [[1.0, 1.0], 0.5]])
+    csvs = []
+    for name, obj in (("ints", _KERNEL_OBJ), ("floats", floats)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out = run_cli(tmp_path, {"command": "bound", "parameters": {"kernel": str(path)}},
+                            out=name)
+        assert code == EXIT_OK
+        csvs.append((out / "bound.csv").read_bytes())
+    assert csvs[0] == csvs[1]

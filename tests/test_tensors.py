@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_gram, random_kernel
+from conftest import random_gram, random_kernel, rank_two_gram
 from steinchaos.tensors import (
     MAX_JITTER,
     GramSpace,
@@ -16,8 +19,10 @@ from steinchaos.tensors import (
     TensorError,
     contract,
     gram_inner,
+    multiindex_multiplicity,
     raw_norm_sq,
     _jittered_cholesky,
+    _orthonormal,
     symmetrize,
     tensor_power,
 )
@@ -319,3 +324,104 @@ def test_identity_gram_skips_the_eigenvalue_check(monkeypatch):
     assert GramSpace(np.eye(3)).is_identity
     with pytest.raises(AssertionError, match="eigvalsh"):
         GramSpace(np.diag([1.0, 2.0]))
+
+
+# ----------------------------------------------------------------------
+# the dict constructor's numpy read
+# ----------------------------------------------------------------------
+
+
+def _dict_read_oracle(space, order, coeffs):
+    """The per-entry loop that SymKernel.__init__ ran before its numpy read,
+    kept here as the deliberate oracle of that read."""
+    arr = np.zeros((space.dim,) * order)
+    for index, value in coeffs.items():
+        idx = tuple(int(i) for i in index)
+        if len(idx) != order:
+            raise TensorError(f"multi-index {idx} has length != order {order}")
+        if any(i < 0 or i >= space.dim for i in idx):
+            raise TensorError(f"multi-index {idx} out of range [0, {space.dim})")
+        if tuple(sorted(idx)) != idx:
+            raise TensorError(f"multi-index {idx} is not sorted")
+        entry = float(value) / multiindex_multiplicity(idx)
+        for perm in set(itertools.permutations(idx)):
+            arr[perm] = entry
+    return arr
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_numpy_dict_read_equals_the_entry_loop(data):
+    dim = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(0, 5))
+    indices = list(itertools.combinations_with_replacement(range(dim), order))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(indices), values))
+    space = GramSpace.standard(dim)
+    assert np.array_equal(SymKernel(space, order, coeffs).to_dense(),
+                          _dict_read_oracle(space, order, coeffs))
+
+
+@pytest.mark.parametrize(
+    "order, coeffs",
+    [(2.5, {(0, 1): 1.0}), (2, {(0, 0.7): 1.0}), (2, {(0, float("nan")): 1.0}),
+     (float("inf"), {}), ([2], {}), (2, {(0,): 1.0}), (1, {0: 1.0}), (2, {(1, 0): 1.0}),
+     (2, {(0, 2): 1.0}), (2, {(-1, 0): 1.0}), (2, {(0, 1): "half"}), (2, {(0, 1): [1.0]})],
+)
+def test_dict_read_refuses_what_it_cannot_read_exactly(plane, order, coeffs):
+    with pytest.raises(TensorError):
+        SymKernel(plane, order, coeffs)
+
+
+def test_dict_read_takes_integral_floats(plane):
+    exact = SymKernel(plane, 2, {(0, 1): 2.0, (1, 1): 3.0})
+    floats = SymKernel(plane, 2.0, {(0.0, 1.0): 2.0, (np.int64(1), 1.0): 3.0})
+    assert floats.order == 2
+    assert np.array_equal(floats.to_dense(), exact.to_dense())
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"order": 2.5, "entries": [[[0, 0.7], 0.5]]}, {"order": 2.5}, {"dim": 2.5},
+     {"entries": [[[0, 0.7], 0.5]]}, {"order": [2]}],
+)
+def test_kernel_json_non_integral_is_tensor_error(change):
+    obj = {"dim": 2, "order": 2, "entries": [[[0, 0], 0.5]], "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    obj.update(change)
+    with pytest.raises(TensorError):
+        SymKernel.from_json_obj(obj)
+
+
+def test_kernel_json_integral_floats_read_as_integers():
+    obj = {"dim": 2, "order": 2, "entries": [[[0, 1], 0.5]], "gram": [[1.0, 0.0], [0.0, 1.0]]}
+    floats = dict(obj, dim=2.0, order=2.0, entries=[[[0.0, 1.0], 0.5]])
+    assert SymKernel.from_json_obj(floats).coeffs == SymKernel.from_json_obj(obj).coeffs
+
+
+# ----------------------------------------------------------------------
+# the orthonormal frame
+# ----------------------------------------------------------------------
+
+
+def test_orthonormal_frame_keeps_gram_metric_values():
+    rng = np.random.default_rng(31)
+    for space in (random_gram(3, rng), random_gram(5, rng), rank_two_gram(4, rng)):
+        f, g = random_kernel(space, 3, rng), random_kernel(space, 2, rng)
+        of, og = _orthonormal(f), _orthonormal(g)
+        assert of.space.is_identity and of.space.dim == space.dim
+        assert space.cholesky_jitter is not None
+        assert gram_inner(of, of) == pytest.approx(gram_inner(f, f), rel=1e-12)
+        for r in range(3):
+            assert raw_norm_sq(of.space, contract(of, og, r)) == pytest.approx(
+                raw_norm_sq(space, contract(f, g, r)), rel=1e-12
+            )
+        sym = symmetrize(of.space, contract(of, of, 1))
+        oracle = symmetrize(space, contract(f, f, 1))
+        assert gram_inner(sym, sym) == pytest.approx(gram_inner(oracle, oracle), rel=1e-12)
+
+
+def test_orthonormal_frame_of_identity_space_is_the_kernel():
+    space = GramSpace.standard(3)
+    f = random_kernel(space, 3, np.random.default_rng(32))
+    assert _orthonormal(f) is f
+    assert space.cholesky_jitter is None
