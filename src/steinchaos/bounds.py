@@ -40,6 +40,7 @@ from typing import Callable
 from .chaos import ChaosVector, _pairing_weight, derivative_norm_sq
 from .tensors import (
     SymKernel,
+    _check_same_space,
     _orthonormal,
     contract,
     gram_inner,
@@ -265,6 +266,8 @@ def gauss_bound_sum(
     metric, constant = _metric_constant(metric)
     if not kernels:
         raise BoundError("at least one kernel is required")
+    for k in kernels[1:]:
+        _check_same_space(kernels[0], k)
     orders = [k.order for k in kernels]
     if len(set(orders)) != len(orders):
         raise BoundError("orders must be distinct")
@@ -387,6 +390,7 @@ def gamma_bound_sum(
     the triple sum excluding, on the diagonal i = j, both r = q_i and
     r = q_i/2.
     """
+    _check_same_space(f1, f2)
     if nu1 <= 0 or nu2 <= 0:
         raise BoundError("both nu parameters must be positive")
     q1, q2 = f1.order, f2.order

@@ -143,6 +143,8 @@ def _cmd_kernel_report(kernel: str, metric: str, nu: float | None = None):
 
 
 def _cmd_breuer_major(H: float, q: int, ns: list[int]):
+    if any(n < 1 for n in ns):
+        raise ConfigError("all n must be >= 1")
     rows_dicts = bm_table(H, q, ns)
     header = ["H", "q", "n", "variance_term", "squared_total", "kol_bound", "rate_exponent"]
     rows = [[r[c] for c in header] for r in rows_dicts]
@@ -204,6 +206,8 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples: bool):
+    if n < 1:
+        raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
     inst = BmInstance(H, q, n)
     batch = sample_Zn(H, q, n, count, seed)
     report = bm_bound_exact(inst)

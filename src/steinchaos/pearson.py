@@ -31,8 +31,9 @@ vanishes linearly disappears.  Every panel goes through a port of
 QUADPACK's adaptive integrators (steinchaos._quadpack: dqagse with the
 21-point rule dqk21 on finite panels, dqagie with the transformed 15-point
 rule dqk15i on infinite tails), which return what scipy's quad returns on
-the same integrand values; scipy's quad itself is left only in the
-exponent integral of a callable tau, and is imported on its first call.
+the same integrand values.  The exponent integral of a callable tau runs on
+the same port: I at a fixed ladder of anchors toward each end, once, then
+one panel from the anchor nearest each x on its side of the origin.
 The first rule step of all panels of one call runs in numpy, 128 panels
 per array operation; the panels it does not settle are bisected further,
 each bisection one vector call of the weight.  The solution is evaluated
@@ -43,7 +44,6 @@ it, keeping the ratio stable deep in the tails.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -206,21 +206,6 @@ def uniform_spec() -> PearsonSpec:
     return PearsonSpec(-0.5, 0.0, 0.5, -1.0, 1.0)
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call, with its
-    IntegrationWarnings ignored.
-
-    Spec targets never call it, so importing pearson loads no scipy.
-    Roundoff-level warnings are expected at the tolerances used here; the
-    relative-accuracy retry and the callers' own checks control accuracy.
-    """
-    from scipy.integrate import IntegrationWarning, quad as scipy_quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return scipy_quad(*args, **kwargs)
-
-
 def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
     lo = a if math.isfinite(a) else -12.0
     hi = b if math.isfinite(b) else 12.0
@@ -261,6 +246,51 @@ def _relative_accuracy(run) -> float:
         if retry_err < err:
             value = retry
     return value
+
+
+def _batch_qag(step, t0, t1, tail) -> tuple[np.ndarray, int]:
+    """_relative_accuracy on qag over every panel [t0[i], t1[i]]: (values,
+    number of panels bisected).  step(idx, lo, hi) is the first rule over
+    [lo[k], hi[k]] for panels idx[k], all tails or none, _BATCH_PANELS at a
+    time.  A panel keeps that value where dqagse or dqagie would stop and
+    _relative_accuracy would not rerun; the rest go on in qag, each bisection
+    one step call.  Each value depends on its own panel only."""
+    out = np.zeros(t0.size)
+    refine = []
+    for kind in (False, True):
+        panels = np.flatnonzero(tail == kind)
+        for start in range(0, panels.size, _BATCH_PANELS):
+            idx = panels[start : start + _BATCH_PANELS]
+            first = step(idx, t0[idx], t1[idx])
+            result, abserr = first[:2]
+            _, done = first_step_done(*first, _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"])
+            settled = done & ~_needs_retry(result, abserr)
+            out[idx[settled]] = result[settled]
+            refine.extend(zip(idx[~settled].tolist(), np.column_stack(first)[~settled].tolist()))
+
+    for i, first in refine:
+        pair = np.array([i, i])
+        out[i] = _relative_accuracy(
+            lambda epsabs: qag(
+                lambda lo, hi: step(pair, lo, hi),
+                float(t0[i]),
+                float(t1[i]),
+                epsabs,
+                _QUAD_OPTS["epsrel"],
+                _QUAD_OPTS["limit"],
+                first,
+            )[:2]
+        )
+    return out, len(refine)
+
+
+def quad(fn, los, his) -> np.ndarray:
+    """int fn over each finite panel [los[i], his[i]] through _batch_qag, minus
+    the integral over [his[i], los[i]] where his[i] < los[i]; fn maps an
+    array of nodes to its values.  Spec targets never call it."""
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    step = lambda idx, lo, hi: finite_step(fn, lo, hi)  # noqa: E731
+    return _batch_qag(step, los, his, np.zeros(los.size, bool))[0]
 
 
 class DensityModel:
@@ -306,13 +336,9 @@ class DensityModel:
         that touches a finite endpoint e (sign pointing into the support),
         x = c + sign (1 - t)/t for t in (0, 1] on a tail from c to an
         infinite end (QUADPACK's dqagie map) and x = t on any other panel.
-        The first QUADPACK step, dqk21 or dqk15i on a tail, runs on
-        _BATCH_PANELS panels at a time.  A panel keeps that value where
-        dqagse or dqagie would stop there and _relative_accuracy would not
-        rerun; the rest continue in the QUADPACK port, each bisection one
-        call of the weight on the nodes of both halves, and give what
-        _relative_accuracy on scipy's quad gives on the scalar integrand
-        (the tests' oracle).
+        The panels go through _batch_qag, with dqk21, or dqk15i on a tail,
+        as the rule, and give what _relative_accuracy on scipy's quad gives
+        on the scalar integrand (the tests' oracle).
         """
         los = np.asarray(los, dtype=float)
         his = np.asarray(his, dtype=float)
@@ -354,34 +380,9 @@ class DensityModel:
 
             return finite_step(values, lo, hi)
 
-        out = np.zeros(los.size)
-        refine = []
-        for kind in (False, True):
-            panels = np.flatnonzero(tail == kind)
-            for start in range(0, panels.size, _BATCH_PANELS):
-                idx = panels[start : start + _BATCH_PANELS]
-                first = step(idx, t0[idx], t1[idx])
-                result, abserr = first[:2]
-                _, done = first_step_done(*first, _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"])
-                settled = done & ~_needs_retry(result, abserr)
-                out[idx[settled]] = result[settled]
-                refine.extend(zip(idx[~settled].tolist(), np.column_stack(first)[~settled].tolist()))
-
-        for i, first in refine:
-            pair = np.array([i, i])
-            out[i] = _relative_accuracy(
-                lambda epsabs: qag(
-                    lambda lo, hi: step(pair, lo, hi),
-                    float(t0[i]),
-                    float(t1[i]),
-                    epsabs,
-                    _QUAD_OPTS["epsrel"],
-                    _QUAD_OPTS["limit"],
-                    first,
-                )[:2]
-            )
-        self.quad_panels += los.size - len(refine)
-        self.quad_fallbacks += len(refine)
+        out, refined = _batch_qag(step, t0, t1, tail)
+        self.quad_panels += los.size - refined
+        self.quad_fallbacks += refined
         return out
 
     def _integrate_weight(self, fn, los, his, points=(), shift=0.0) -> np.ndarray:
@@ -483,9 +484,37 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
     return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
 
 
+def _anchors(end: float) -> np.ndarray:
+    """The fixed ladder of exponent-integral anchors from 0 toward one end of
+    the support, 0 left out: e (1 - 2^-k) toward a finite end e, down to the
+    1e-12 span distance of the divergence probe, and +-1, 2, 4, ..., 2^20,
+    past the 1e6 probe, toward an infinite end."""
+    if not math.isfinite(end):
+        return math.copysign(1.0, end) * 2.0 ** np.arange(21)
+    count = math.ceil(math.log2(abs(end) / (1e-12 * max(abs(end), 1.0))))
+    return end * (1.0 - 0.5 ** np.arange(1, count + 1))
+
+
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
-    def inner(x: float) -> float:
-        return quad(lambda y: y / tau_fn(y), 0.0, x, **_QUAD_OPTS)[0]
+    ratio = _elementwise(lambda y: y / tau_fn(y))
+    # I(x) = int_0^x y/tau at the anchors, once: the panels between
+    # neighbouring anchors, summed outward from 0 on each side
+    left = _anchors(a)
+    nodes = np.concatenate([left[::-1], [0.0], _anchors(b)])
+    parts = quad(ratio, nodes[:-1], nodes[1:])
+    values = np.concatenate(
+        [-np.cumsum(parts[: left.size][::-1])[::-1], [0.0], np.cumsum(parts[left.size :])]
+    )
+
+    def exponent(x: np.ndarray) -> np.ndarray:
+        # the anchor nearest each x on the side toward 0, plus one panel from
+        # it: a pure function of x, whatever else the call holds
+        k = np.where(
+            x >= 0.0,
+            np.searchsorted(nodes, x, side="right") - 1,
+            np.searchsorted(nodes, x, side="left"),
+        )
+        return values[k] + quad(ratio, nodes[k], x)
 
     # Divergence heuristic: the exponent integral int_0^x y/tau rises to
     # +infinity toward both endpoints whenever the uniqueness conditions
@@ -494,12 +523,10 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
     # last six decades of distance; a convergent integral plateaus.
     for sign, endpoint in ((1.0, b), (-1.0, a)):
         if math.isfinite(endpoint):
-            span = max(abs(endpoint), 1.0)
-            near = inner(endpoint - sign * 1e-6 * span)
-            nearest = inner(endpoint - sign * 1e-12 * span)
+            probes = endpoint - sign * max(abs(endpoint), 1.0) * np.array([1e-6, 1e-12])
         else:
-            near = inner(sign * 1e3)
-            nearest = inner(sign * 1e6)
+            probes = sign * np.array([1e3, 1e6])
+        near, nearest = exponent(probes).tolist()
         diverges = nearest >= 40.0 or (
             nearest >= 1e-3 and near > 0.0 and nearest / near >= 1.2
         )
@@ -512,7 +539,7 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
     return DensityModel(
         a,
         b,
-        _elementwise(lambda x: math.exp(-inner(x)) / tau_fn(x)),
+        lambda x: np.exp(-exponent(x)) / _elementwise(tau_fn)(x),
         tau=_elementwise(lambda x: tau_fn(x) if a < x < b else 0.0),
     )
 

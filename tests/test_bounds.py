@@ -25,6 +25,7 @@ from steinchaos.bounds import (
 from steinchaos.chaos import ChaosVector, derivative_norm_sq, exact_moment, malliavin_inner
 from steinchaos.tensors import (
     GramSpace,
+    SpaceMismatchError,
     SymKernel,
     contract,
     gram_inner,
@@ -143,6 +144,15 @@ def test_gauss_sum_rejects_duplicate_orders(plane):
     f = tensor_power(plane, E1, 2)
     with pytest.raises(BoundError):
         gauss_bound_sum([f, f])
+
+
+def test_gauss_sum_rejects_mixed_spaces():
+    # an I_2 kernel over R^3 and an I_3 kernel over R^4 are not one chaos sum
+    rng = np.random.default_rng(0)
+    f2 = random_kernel(GramSpace.standard(3), 2, rng)
+    f3 = random_kernel(GramSpace.standard(4), 3, rng)
+    with pytest.raises(SpaceMismatchError):
+        gauss_bound_sum([f2, f3])
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +304,14 @@ def test_gamma_sum_order_preconditions():
         gamma_bound_sum(k2, 0.5, k3, 0.5)  # odd order
     with pytest.raises(BoundError):
         gamma_bound_sum(k2, -0.5, SymKernel.zero(space, 6), 0.5)
+
+
+def test_gamma_sum_rejects_mixed_spaces():
+    rng = np.random.default_rng(0)
+    f2 = random_kernel(GramSpace.standard(3), 2, rng)
+    f6 = random_kernel(GramSpace.standard(4), 6, rng)
+    with pytest.raises(SpaceMismatchError):
+        gamma_bound_sum(f2, 0.5, f6, 0.5)
 
 
 def test_gamma_sum_dominates_exact():

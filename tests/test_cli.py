@@ -311,10 +311,12 @@ def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
         ({"command": "pearson",
           "parameters": {"alpha": 0, "beta": 0, "gamma": 1, "a": "-inf", "b": "inf", "grid": -1}},
          ()),
+        ({"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8, 0]}}, ()),
+        ({"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 0, "count": 100}}, ()),
     ],
     ids=["parameters-list", "parameters-string", "command-list", "metric-number",
          "misspelled-parameter", "unknown-seed", "seed-flag-without-seed", "dump-samples-string",
-         "negative-grid"],
+         "negative-grid", "breuer-major-zero-n", "simulate-zero-n"],
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, config, extra):
     code, out = run_cli(tmp_path, config, extra=extra)

@@ -1,4 +1,5 @@
-"""Cold start: which scipy modules importing steinchaos and each command load.
+"""Cold start: which scipy modules importing steinchaos and each command load,
+and a run of the library and every command with scipy blocked.
 
 Each case runs in a fresh interpreter, because scipy modules loaded by
 other tests stay in this process's sys.modules.
@@ -50,10 +51,8 @@ def test_import_loads_no_scipy():
     assert scipy_modules("import steinchaos, steinchaos.cli\n") == set()
 
 
-@pytest.mark.parametrize(
-    "command", ["chi2-example", "bound", "gamma", "pearson", "breuer-major", "simulate"]
-)
-def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
+def command_configs(tmp_path: Path) -> dict:
+    """A small config of every CLI command."""
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(4, 4))
     kernel = tmp_path / "kernel.json"
@@ -65,6 +64,32 @@ def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
         "pearson": dict(gamma_spec(1.0).to_json_obj(), grid=21),
         "breuer-major": {"H": 0.7, "q": 2, "ns": [8, 16]},
         "simulate": {"H": 0.6, "q": 2, "n": 8, "count": 100},
-    }[command]
-    config = {"command": command, "parameters": parameters}
+    }
+    return {command: {"command": command, "parameters": p} for command, p in parameters.items()}
+
+
+@pytest.mark.parametrize(
+    "command", ["chi2-example", "bound", "gamma", "pearson", "breuer-major", "simulate"]
+)
+def test_commands_without_scipy_calls_load_no_scipy(command, tmp_path):
+    config = command_configs(tmp_path)[command]
     assert scipy_modules(cli_script(tmp_path, config)) == set()
+
+
+def test_runtime_runs_with_scipy_blocked(tmp_path):
+    # None in sys.modules makes every import of scipy raise ImportError
+    script = """
+import sys
+sys.modules["scipy"] = None
+import math
+from steinchaos.pearson import DensityModel, density_from_tau, stein_bound_check, stein_solve
+d = density_from_tau(lambda x: (1.0 - x * x) / 2.0, -1.0, 1.0)
+step = lambda x: 1.0 if x <= 0.25 else 0.0
+assert stein_bound_check(stein_solve(d, step, (0.25,)), 101).passK
+DensityModel.from_pdf(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                      -math.inf, math.inf)
+"""
+    for name, config in command_configs(tmp_path).items():
+        (tmp_path / name).mkdir()
+        script += cli_script(tmp_path / name, config)
+    assert scipy_modules(script) == {"scipy"}  # the blocking entry only
