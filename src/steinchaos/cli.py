@@ -18,8 +18,9 @@ Every run writes one CSV data file (fixed column order, floats at 17
 significant digits, byte-identical across reruns of the same config) plus a
 manifest JSON echoing the config, versions and timings.  Numerical
 diagnostics go under the manifest's "diagnostics" key, outside "result":
-simulate gives the sampler's generator, circulant fallback, Cholesky jitter
-and worker count; breuer-major gives the op budget of the contraction sums
+simulate gives the sampler's generator, circulant fallback, Cholesky jitter,
+worker count and BLAS threads (1, or null where no OpenBLAS thread control
+was found); breuer-major gives the op budget of the contraction sums
 and each row's estimate against it; pearson gives the quadrature panel
 counts (panels taken from the batched Gauss-Kronrod rule, panels handed to
 scalar QUADPACK).
@@ -221,6 +222,7 @@ def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples:
         "circulant_fallback": batch.meta["circulant_fallback"],
         "cholesky_jitter": batch.meta["cholesky_jitter"],
         "workers": simulate.WORKERS,
+        "blas_threads": simulate._one_blas_thread.threads,
     }}
     if dump_samples:
         lines = ["# " + json.dumps(batch.meta, sort_keys=True), "value"]

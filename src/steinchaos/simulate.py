@@ -2,14 +2,20 @@
 
 Randomness is counter-based: each block of 4096 rows draws from its own
 Philox stream keyed by (seed, block index), so output is bit-identical
-across runs and across worker layouts, and extending the sample count
-extends the batch without changing existing rows.  Blocks run on a pool of
-WORKERS threads (the CPUs the process may run on, at most 4); each writes
-its rows into its own slice of the output.  A block yields its rows in
-pieces: a circulant block draws its real parts whole, then runs the
-imaginary parts, the FFT and the scaling in chunks of CHUNK_ROWS draws.
-sample_Zn reduces each piece to its Z_n sums as it arrives, so its memory
-is bounded by the worker count times one block, not by the sample count.
+across runs, across worker layouts and across BLAS thread counts, and
+extending the sample count extends the batch without changing existing
+rows.  Blocks run on a pool of WORKERS threads (the CPUs the process may
+run on, at most 4); each writes its rows into its own slice of the output.
+While the pool runs, and while the Cholesky factor is formed, a loaded
+OpenBLAS is held at one thread (found through ctypes on first use; where
+no thread control is found nothing changes and the pin reports None), so
+its helper threads do not compete with the workers and no result depends
+on the BLAS thread count.  A block yields its rows in pieces: a circulant
+block draws its real parts whole, then runs the imaginary parts (drawn into
+the real parts just consumed), the FFT and the scaling in chunks of
+CHUNK_ROWS draws through one complex buffer.  sample_Zn reduces each piece
+to its Z_n sums as it arrives, so its memory is bounded by the worker count
+times one block, not by the sample count.
 
 The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
@@ -26,8 +32,11 @@ steinchaos._toeplitz.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -56,6 +65,15 @@ WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
               else os.cpu_count() or 1)
 
 
+# (get, set) thread-count symbols of OpenBLAS builds, most specific first:
+# numpy's bundled scipy-openblas, then 64-bit-integer and plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
 class SimulationError(Exception):
     """Raised on invalid sampling or distance-estimation inputs."""
 
@@ -74,11 +92,86 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of the OpenBLAS already loaded, or None.
+
+    Looked up on first use, not at import: the shared objects named
+    *openblas* in /proc/self/maps (numpy's numpy.libs/libscipy_openblas64_*.so
+    among them) are opened with RTLD_NOLOAD, so no second copy loads.
+    """
+    try:
+        with open("/proc/self/maps") as maps:  # the path is the last field
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    libraries = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            libraries.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))
+        except OSError:
+            continue
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        for library in libraries:
+            if hasattr(library, get_name) and hasattr(library, set_name):
+                get, set_ = getattr(library, get_name), getattr(library, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _BlasPin:
+    """Context manager: OpenBLAS at one thread while any caller is inside it.
+
+    The first caller in saves the thread count and sets 1; the last one out
+    restores it, so callers in several threads never restore it under each
+    other.  Where no thread control is found it changes nothing, and threads
+    is None.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    @property
+    def threads(self) -> int | None:
+        """BLAS threads inside the pin: 1, or None where it changes nothing."""
+        return None if _openblas_threads() is None else 1
+
+    def __enter__(self) -> _BlasPin:
+        control = _openblas_threads()
+        if control is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = control[0]()
+                    control[1](1)
+                self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        control = _openblas_threads()
+        if control is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    control[1](self._saved)
+
+
+_one_blas_thread = _BlasPin()
+
+
 def _cholesky_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of an increment covariance and the jitter it needed."""
-    return _jittered_cholesky(
-        cov, 1e-15, 1e-10, SimulationError("covariance is numerically singular")
-    )
+    """Cholesky factor of an increment covariance and the jitter it needed.
+
+    The factorization runs at one BLAS thread: OpenBLAS's threaded potrf
+    rounds differently from its serial one.
+    """
+    with _one_blas_thread:
+        return _jittered_cholesky(
+            cov, 1e-15, 1e-10, SimulationError("covariance is numerically singular")
+        )
 
 
 def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
@@ -98,7 +191,8 @@ def _fbm_blocks(
     pieces(start) draws the block whose first row is start and yields
     (rows, values) pairs: values holds the block rows picked by the slice
     rows, counted from start, and the pieces cover the block's rows up to
-    count once each.  The generator is chosen once.  Every row depends only
+    count once each; values may be a view of a buffer that the next piece
+    overwrites.  The generator is chosen once.  Every row depends only
     on (seed, row): the Cholesky product is formed at full BLOCK_ROWS shape
     (BLAS summation order depends on the operand shapes), and the circulant
     FFT and the scalings act row by row.
@@ -118,6 +212,7 @@ def _fbm_blocks(
     if lam is not None:
         m = 2 * n
         root = np.sqrt(lam)
+        scale = math.sqrt(m)
         draws = (BLOCK_ROWS + 1) // 2
         generator = "circulant-embedding"
 
@@ -127,23 +222,29 @@ def _fbm_blocks(
             # imaginary part
             real = rng.standard_normal((draws, m))
             needed = (rows + 1) // 2
+            chunk = np.empty((min(CHUNK_ROWS, needed), m), dtype=complex)
             for d0 in range(0, needed, CHUNK_ROWS):
                 d1 = min(d0 + CHUNK_ROWS, needed)
-                z = np.empty((d1 - d0, m), dtype=complex)
-                z.real = real[d0:d1]
-                z.imag = rng.standard_normal((d1 - d0, m))
-                z *= root
-                y = np.fft.fft(z, axis=1, out=z)
-                y /= math.sqrt(m)
-                yield slice(2 * d0, 2 * d1, 2), y.real[:, :n]
-                yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0, :n]
+                z = chunk[: d1 - d0]
+                np.multiply(real[d0:d1], root, out=z.real)
+                # the real parts just consumed take the imaginary normals
+                imag = rng.standard_normal(out=real[d0:d1])
+                np.multiply(imag, root, out=z.imag)
+                y = np.fft.fft(z, axis=1, out=z)[:, :n]
+                y /= scale
+                yield slice(2 * d0, 2 * d1, 2), y.real
+                yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0]
 
     else:
         factor, jitter = _cholesky_factor(_toeplitz(rho_values(H, n - 1)))
         generator = "cholesky-toeplitz"
 
         def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
-            block = rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
+            # a partial block draws only its rows; the product keeps its full
+            # shape, so each row's sum order does not depend on rows
+            normals = np.zeros((BLOCK_ROWS, n))
+            rng.standard_normal(out=normals[:rows])
+            block = normals @ factor.T
             for r0 in range(0, rows, CHUNK_ROWS):
                 r1 = min(r0 + CHUNK_ROWS, rows)
                 yield slice(r0, r1), block[r0:r1]
@@ -164,9 +265,14 @@ def _fbm_blocks(
 
 
 def _each_block(count: int, work: Callable[[int], None]) -> None:
-    """work(start) for the first row of every block, on up to WORKERS threads."""
+    """work(start) for the first row of every block, on up to WORKERS threads.
+
+    BLAS runs at one thread meanwhile: its helper threads would compete with
+    the workers for the CPUs, and a threaded GEMM rounds differently.
+    """
     starts = range(0, count, BLOCK_ROWS)
-    with ThreadPoolExecutor(max_workers=max(1, min(WORKERS, len(starts)))) as pool:
+    workers = max(1, min(WORKERS, len(starts)))
+    with _one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(work, starts):
             pass
 

@@ -153,7 +153,8 @@ def test_simulate_manifest_diagnostics(tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"] == {
             "generator": generator, "circulant_fallback": False,
-            "cholesky_jitter": jitter, "workers": simulate.WORKERS}
+            "cholesky_jitter": jitter, "workers": simulate.WORKERS,
+            "blas_threads": simulate._one_blas_thread.threads}
         assert "diagnostics" not in manifest["result"]
 
 

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +152,9 @@ def _oracle_fbm_blocks(H, n, count, seed, method="auto"):
         factor, _ = simulate._cholesky_factor(toeplitz(rho_values(H, n - 1)))
 
         def draw(rng):
-            return rng.standard_normal((BLOCK_ROWS, n)) @ factor.T
+            normals = rng.standard_normal((BLOCK_ROWS, n))
+            with simulate._one_blas_thread:  # the sampler's GEMMs run at one BLAS thread
+                return normals @ factor.T
 
     return (
         (start, draw(simulate._stream(seed, start // BLOCK_ROWS))[: count - start])
@@ -219,6 +226,88 @@ def test_samples_do_not_depend_on_worker_count(monkeypatch):
         assert np.array_equal(sample_Zn(*case, seed=8).values, values)
     assert np.array_equal(sample_fbm_increments(0.3, 1025, BLOCK_ROWS + 7, seed=8).values,
                           inc_default)
+
+
+# prints the digests of a Cholesky-path increment batch and Z_n batch
+_DIGESTS = """
+import hashlib
+from steinchaos.simulate import BLOCK_ROWS, sample_fbm_increments, sample_Zn
+for batch in (sample_fbm_increments(0.7, 300, BLOCK_ROWS + 7, 17),
+              sample_Zn(0.6, 2, 300, BLOCK_ROWS + 7, 17)):
+    print(hashlib.sha256(batch.values.tobytes()).hexdigest())
+"""
+
+
+def test_samples_do_not_depend_on_blas_threads():
+    # a fresh interpreter per count: OpenBLAS reads OPENBLAS_NUM_THREADS
+    # once, when numpy loads it
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGESTS],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
+
+
+@pytest.fixture
+def blas_control():
+    """The OpenBLAS (get, set) pair at 2 threads, restored after the test."""
+    control = simulate._openblas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = control
+    before = get()
+    set_(2)
+    try:
+        yield get, set_
+    finally:
+        set_(before)
+
+
+def test_blas_count_restored_after_the_pool_also_when_a_block_raises(blas_control):
+    get, _ = blas_control
+    seen = []
+
+    def work(start):
+        seen.append(get())
+        if start == BLOCK_ROWS:
+            raise SimulationError("block failed")
+
+    with pytest.raises(SimulationError, match="block failed"):
+        simulate._each_block(3 * BLOCK_ROWS, work)
+    assert seen and set(seen) == {1}  # blocks still pending are cancelled
+    assert get() == 2
+    assert simulate._one_blas_thread.threads == 1
+
+
+def test_concurrent_callers_get_the_serial_bits(blas_control):
+    get, _ = blas_control
+    args = (0.6, 2, 300, BLOCK_ROWS + 7, 17)
+    serial = sample_Zn(*args).values
+    results = [None] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def call(i):
+            results[i] = sample_Zn(*args).values
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(values is not None and np.array_equal(values, serial) for values in results)
+    assert get() == 2
 
 
 def _zn_peak(H, q, n, count, seed):
