@@ -80,15 +80,6 @@ def commit(checkout: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown (not a git checkout)"
 
 
-def summarize(runs: list[dict], expressions: list[str], bound: float) -> dict:
-    """Per expression: the paired comparison of the per-process medians."""
-    def medians(side: str, expression: str) -> list[float]:
-        return [r["median"] for r in runs if (r["side"], r["expression"]) == (side, expression)]
-
-    return {e: compare(medians("parent", e), medians("change", e), "lower", bound)
-            for e in expressions}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
@@ -119,7 +110,11 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {side:<6} {result['median']:.4f} s  {expression}",
                       file=sys.stderr)
 
-    comparisons = summarize(runs, args.expressions, bound)
+    def medians(side: str, expression: str) -> list[float]:
+        return [r["median"] for r in runs if (r["side"], r["expression"]) == (side, expression)]
+
+    comparisons = {e: compare(medians("parent", e), medians("change", e), "lower", bound)
+                   for e in args.expressions}
     record = {
         "command": (f"python3 tools/layer_time.py --parent PARENT --change CHANGE "
                     f"--pairs {args.pairs} --calls {args.calls} EXPRESSION..."),
