@@ -95,7 +95,10 @@ def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
     diagonal -d of A B is diagonal d of B A.  Row 0 of A B is B a and row 0
     of B A is A b (two FFT Toeplitz products; one walk when A is B, since
     then A B is symmetric).  The diagonals are walked in blocks of about
-    WALK_BLOCK entries, so memory stays O(n).
+    WALK_BLOCK entries, so memory stays O(n).  It equals _complete_graph(n,
+    a, ones, b) to rounding, and stays as its own O(n^2) walk because that
+    FFT sum is O(n^2 log n): 79 ms against 3.4 s at n = 4096, H = 0.7 (one
+    call each on a 2-core Xeon VM).
     """
     n = a.size
     row_ab = _toeplitz_product(b, a)

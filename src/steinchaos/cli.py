@@ -9,7 +9,8 @@ chi2-example   Quadratic-functional example: kernel M[k,l] = a(k-l)/n with
                a(r) = 1 + 2^{-|r|} for r != 0 (the dense builder of
                steinchaos._toeplitz), swept over n, reported through the
                Gamma bound at nu = 1 (target N^2 - 1).
-pearson        Sampled density/tau grid and the log-derivative coefficients
+pearson        Sampled density/tau grid, the moments 0-4 (null where the
+               moment does not exist) and the log-derivative coefficients
                for a quadratic-tau spec.
 simulate       Monte Carlo Z_n batch, empirical Kolmogorov distance against
                the standard normal, and the exact bound next to it.
@@ -53,7 +54,8 @@ from .bounds import BoundError, BoundReport, gamma_bound_single, gauss_bound_sin
 from .breuer_major import (DEFAULT_OP_BUDGET, BmInstance, BreuerMajorError, bm_bound_exact,
                            bm_table)
 from .chaos import ChaosError
-from .pearson import PearsonError, PearsonSpec, density_from_tau, pearson_classify
+from .pearson import (PearsonError, PearsonSpec, _moment_exists, density_from_tau,
+                      pearson_classify)
 from .simulate import SimulationError, empirical_kolmogorov, sample_Zn
 from .tensors import GramSpace, SymKernel, TensorError
 
@@ -188,7 +190,7 @@ def _cmd_pearson(alpha: float, beta: float, gamma: float, a: float, b: float, gr
     xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid)
     rows = np.column_stack([xs, density.pdf(xs), spec.tau(xs)]).tolist()
     ode = pearson_classify(spec)
-    moments = [density.moment(k) for k in range(5)]
+    moments = [density.moment(k) if _moment_exists(spec, k) else None for k in range(5)]
     return ["x", "pdf", "tau"], rows, {
         "normalization": density.normalization,
         "moments": moments,

@@ -189,6 +189,13 @@ class PearsonSpec:
         return cls(*(float(obj[k]) for k in ("alpha", "beta", "gamma", "a", "b")))
 
 
+def _moment_exists(spec: PearsonSpec, k: int) -> bool:
+    """Whether E|X|^k is finite for the density of spec.  For alpha > 0 (which
+    forces an infinite end) tau ~ alpha x^2 makes the density decay like
+    |x|^(-2 - 1/alpha), so iff (k - 1) alpha < 1; for alpha <= 0 always."""
+    return spec.alpha <= 0.0 or (k - 1) * spec.alpha < 1.0
+
+
 def gaussian_spec() -> PearsonSpec:
     """tau = 1 on all of R: the standard normal target."""
     return PearsonSpec(0.0, 0.0, 1.0, -math.inf, math.inf)
@@ -453,6 +460,9 @@ class DensityModel:
         return float(self._integrate_weight(fn, [lo], [hi], points)[0]) / self.normalization
 
     def moment(self, k: int) -> float:
+        """int x^k p by quadrature.  A divergent integral is not detected: the
+        QUADPACK error flag is not kept, and it flags hard but finite panels
+        too.  For a spec, _moment_exists says whether the moment exists."""
         return self.integrate(lambda x: x**k)
 
     def effective_range(self) -> tuple[float, float]:
@@ -627,7 +637,9 @@ class SteinSolution:
 
     u and u_prime take floats or arrays: one DensityModel._one_sided call per
     call covers all its interior points.  on_grid sums panels between grid
-    points instead."""
+    points instead.  Both stay: on_grid built on u's one-sided integrals was
+    ~50x slower on a Stein-check grid, and u takes any points, so it is
+    on_grid's oracle in the tests."""
 
     def __init__(
         self,

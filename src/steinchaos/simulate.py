@@ -19,8 +19,8 @@ times one block, not by the sample count.
 
 The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
-the n x n Toeplitz covariance or, for long vectors, through circulant
-embedding of size 2n (exact in distribution whenever the embedding
+the n x n Toeplitz covariance or, when n >= CIRCULANT_MIN_N, through
+circulant embedding of size 2n (exact in distribution whenever the embedding
 eigenvalues are nonnegative; otherwise it falls back to Cholesky and
 records the fallback in SampleBatch.meta["circulant_fallback"]).  A
 numerically singular covariance gets a diagonal jitter of at most 1e-10
@@ -184,7 +184,7 @@ def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
 
 
 def _fbm_blocks(
-    H: float, n: int, count: int, seed: int, method: str = "auto"
+    H: float, n: int, count: int, seed: int
 ) -> tuple[dict, Callable[[int], Iterator[tuple[slice, np.ndarray]]]]:
     """Generator meta and the per-block routine of an increment batch.
 
@@ -192,19 +192,18 @@ def _fbm_blocks(
     (rows, values) pairs: values holds the block rows picked by the slice
     rows, counted from start, and the pieces cover the block's rows up to
     count once each; values may be a view of a buffer that the next piece
-    overwrites.  The generator is chosen once.  Every row depends only
-    on (seed, row): the Cholesky product is formed at full BLOCK_ROWS shape
-    (BLAS summation order depends on the operand shapes), and the circulant
-    FFT and the scalings act row by row.
+    overwrites.  The generator is chosen once, from n alone: circulant
+    embedding when n >= CIRCULANT_MIN_N, else Cholesky.  Every row depends
+    only on (seed, row): the Cholesky product is formed at full BLOCK_ROWS
+    shape (BLAS summation order depends on the operand shapes), and the
+    circulant FFT and the scalings act row by row.
     """
     if not 0.0 < H < 1.0:
         raise SimulationError(f"Hurst index must lie in (0,1), got {H}")
     if n < 1 or count < 0:
         raise SimulationError("need n >= 1 and count >= 0")
-    if method not in ("auto", "cholesky", "circulant"):
-        raise SimulationError(f"unknown method {method!r}")
 
-    use_circulant = method == "circulant" or (method == "auto" and n >= CIRCULANT_MIN_N)
+    use_circulant = n >= CIRCULANT_MIN_N
     lam = _circulant_eigs(H, n) if use_circulant else None
     fallback = use_circulant and lam is None
 
@@ -277,11 +276,9 @@ def _each_block(count: int, work: Callable[[int], None]) -> None:
             pass
 
 
-def sample_fbm_increments(
-    H: float, n: int, count: int, seed: int, method: str = "auto"
-) -> SampleBatch:
+def sample_fbm_increments(H: float, n: int, count: int, seed: int) -> SampleBatch:
     """count independent rows of {n^H (B_{(k+1)/n} - B_{k/n})}, k < n."""
-    meta, pieces = _fbm_blocks(H, n, count, seed, method)
+    meta, pieces = _fbm_blocks(H, n, count, seed)
     out = np.empty((count, n))
 
     def fill(start: int) -> None:

@@ -77,15 +77,6 @@ class OrderMismatchError(TensorError):
     """Raised when an inner product pairs kernels of different orders."""
 
 
-def multiindex_multiplicity(index: tuple[int, ...]) -> int:
-    """Number of distinct orderings of a sorted multi-index."""
-    q = len(index)
-    count = math.factorial(q)
-    for _, group in itertools.groupby(index):
-        count //= math.factorial(sum(1 for _ in group))
-    return count
-
-
 def _integral(values, what: str) -> np.ndarray:
     """values as an int64 array; TensorError unless every entry is an integer
     (an integral float such as 1.0 reads as 1, 2.5 is refused)."""
@@ -107,20 +98,36 @@ def _integer(value, what: str) -> int:
     return int(arr)
 
 
+def _orderings(index: np.ndarray) -> np.ndarray:
+    """q!/prod_k m_k! for each row of an (E, q) array of sorted multi-indices:
+    the number of distinct orderings, m_k the run lengths of equal entries."""
+    # count: orderings of the first j + 1 entries; run: entry j's place in
+    # its run of equal entries; each step multiplies by (j + 1)/run exactly
+    count = np.ones(index.shape[0], dtype=np.int64)
+    run = count
+    for j in range(1, index.shape[1]):
+        run = np.where(index[:, j] == index[:, j - 1], run + 1, 1)
+        count = count * (j + 1) // run
+    return count
+
+
 def sorted_coeffs(dense: np.ndarray) -> dict[tuple[int, ...], float]:
     """Sorted-multi-index form of a symmetric array, in lexicographic order.
 
     Maps each sorted multi-index J with a nonzero entry to that entry times
     the number of distinct orderings of J; zeros are dropped.
     """
-    arr = np.asarray(dense)
-    out: dict[tuple[int, ...], float] = {}
-    dim = arr.shape[0] if arr.ndim else 0
-    for index in itertools.combinations_with_replacement(range(dim), arr.ndim):
-        v = float(arr[index])
-        if v != 0.0:
-            out[index] = v * multiindex_multiplicity(index)
-    return out
+    arr = np.asarray(dense, dtype=float)
+    dim, order = (arr.shape[0] if arr.ndim else 1), arr.ndim
+    count = math.comb(dim + order - 1, order)
+    rows = itertools.combinations_with_replacement(range(dim), order)
+    index = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                        count * order).reshape(count, order)
+    place = dim ** np.arange(order - 1, -1, -1)  # row-major strides, as in the dict read
+    values = arr.reshape(-1)[index @ place]
+    keep = values != 0.0
+    index = index[keep]
+    return dict(zip(map(tuple, index.tolist()), (values[keep] * _orderings(index)).tolist()))
 
 
 def _jittered_cholesky(
@@ -257,12 +264,7 @@ class SymKernel:
             bad = (index[:, 1:] < index[:, :-1]).any(axis=1)
             if bad.any():
                 raise TensorError(f"multi-index {keys[bad.argmax()]} is not sorted")
-            # prod over each row of the position within its run of equal
-            # entries is prod_k m_k!, so q!/that is the number of orderings
-            run = np.ones(index.shape, dtype=np.int64)
-            for j in range(1, order):
-                run[:, j] = np.where(index[:, j] == index[:, j - 1], run[:, j - 1] + 1, 1)
-            entry = values / (math.factorial(order) // run.prod(axis=1))
+            entry = values / _orderings(index)
             place = space.dim ** np.arange(order - 1, -1, -1)  # row-major strides
             flat = arr.reshape(-1)
             for perm in itertools.permutations(range(order)):
@@ -424,25 +426,24 @@ def _orthonormal(f: SymKernel) -> SymKernel:
     """
     if f.space.is_identity:
         return f
-    L = f.space.cholesky()
-    arr = f.to_dense()
-    for _ in range(f.order):
-        # tensordot consumes the leading axis and appends its image at the end
-        arr = np.tensordot(arr, L, axes=([0], [0]))
+    arr = _contract_tail(f.to_dense(), f.space.cholesky(), f.order)
     return SymKernel._wrap(GramSpace.standard(f.space.dim), arr)
+
+
+def _contract_tail(arr: np.ndarray, matrix: np.ndarray, naxes: int) -> np.ndarray:
+    """arr with each of its trailing `naxes` axes contracted with the rows of
+    matrix (arr[..., i, ...] -> sum_i arr[..., i, ...] matrix[i, j]), in order."""
+    first = arr.ndim - naxes
+    for _ in range(naxes):
+        # tensordot consumes axis `first` and appends its image at the end,
+        # so repeating walks through the original tail axes
+        arr = np.tensordot(arr, matrix, axes=([first], [0]))
+    return arr
 
 
 def _apply_gram(space: GramSpace, arr: np.ndarray, naxes: int) -> np.ndarray:
     """Multiply the trailing `naxes` axes of arr by G, preserving axis order."""
-    if space.is_identity:
-        return arr
-    out = arr
-    total = arr.ndim
-    for _ in range(naxes):
-        # tensordot consumes axis (total - naxes) and appends the transformed
-        # axis at the end, so repeating walks through the original tail axes.
-        out = np.tensordot(out, space.gram, axes=([total - naxes], [0]))
-    return out
+    return arr if space.is_identity else _contract_tail(arr, space.gram, naxes)
 
 
 def contract(f: SymKernel, g: SymKernel, r: int) -> np.ndarray:
@@ -483,7 +484,5 @@ def gram_inner(f: SymKernel, g: SymKernel) -> float:
 def raw_norm_sq(space: GramSpace, raw: np.ndarray) -> float:
     """Squared norm of a raw dense tensor under the induced Gram metric."""
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        return float(arr) ** 2
     transformed = _apply_gram(space, arr, arr.ndim)
     return float(np.tensordot(arr, transformed, axes=arr.ndim))

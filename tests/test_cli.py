@@ -98,6 +98,20 @@ def test_chi2_example_command(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("alpha, gamma, finite", [(0.5, 1.5, [1.0, 0.0, 3.0]), (1.0, 1.0, [1.0, 0.0])],
+                         ids=["student-t3", "t2-like"])
+def test_pearson_command_writes_null_for_a_moment_that_does_not_exist(
+    tmp_path, alpha, gamma, finite
+):
+    config = {"command": "pearson", "parameters": {"alpha": alpha, "beta": 0, "gamma": gamma,
+                                                   "a": "-inf", "b": "inf"}}
+    code, out = run_cli(tmp_path, config)
+    assert code == EXIT_OK
+    moments = json.loads((out / "manifest.json").read_text())["result"]["moments"]
+    assert moments[: len(finite)] == pytest.approx(finite, abs=1e-12)
+    assert moments[len(finite):] == [None] * (5 - len(finite))
+
+
 def test_pearson_command(tmp_path):
     config = {
         "command": "pearson",

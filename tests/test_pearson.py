@@ -110,6 +110,50 @@ def test_uniform_density_flat():
     assert max(abs(d.pdf(float(x)) - 0.5) for x in xs) < 1e-8
 
 
+# alpha > 0: complex roots (disc < 0) and a double root (disc = 0)
+STUDENT_T3 = PearsonSpec(0.5, 0.0, 1.5, -math.inf, math.inf)
+PEARSON_IV = PearsonSpec(0.25, 0.3, 1.0, -math.inf, math.inf)
+DOUBLE_ROOT = PearsonSpec(1.0, 2.0, 1.0, -1.0, math.inf)  # tau = (x + 1)^2
+WIDE = (-30.0, -2.0, -0.3, 0.7, 5.0, 400.0)
+
+
+@pytest.mark.parametrize("spec, xs", [(STUDENT_T3, WIDE), (PEARSON_IV, WIDE),
+                                      (DOUBLE_ROOT, (-0.99, -0.5, -0.1, 0.5, 3.0, 50.0))],
+                         ids=["student-t3", "pearson-iv", "double-root"])
+def test_exponent_integral_closed_forms_match_quadrature(spec, xs):
+    disc = spec.beta**2 - 4.0 * spec.alpha * spec.gamma
+    assert disc <= 0.0 and (disc == 0.0) == (spec is DOUBLE_ROOT)
+    for x in xs:
+        expect = quad(lambda y: y / float(spec.quadratic(y)), 0.0, x,
+                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert spec.exponent_integral(x) == pytest.approx(expect, rel=1e-13, abs=0.0)
+    d = density_from_tau(spec)
+    assert math.isfinite(d.normalization)
+    assert abs(d.moment(1)) < 1e-8
+
+
+def test_pearson_iv_moments_follow_the_stein_recurrence():
+    # E[tau(X) f'(X)] = E[X f(X)] at f = x^k: m_{k+1}(1 - k alpha) = k(beta m_k + gamma m_{k-1})
+    d = density_from_tau(PEARSON_IV)
+    m = [d.moment(k) for k in range(5)]
+    al, be, ga = PEARSON_IV.alpha, PEARSON_IV.beta, PEARSON_IV.gamma
+    for k in range(1, 4):
+        assert m[k + 1] * (1.0 - k * al) == pytest.approx(k * (be * m[k] + ga * m[k - 1]),
+                                                         rel=1e-12)
+
+
+def test_moment_exists_iff_the_tail_decays_fast_enough():
+    def exists(spec):
+        return [pearson._moment_exists(spec, k) for k in range(6)]
+
+    for spec in (gaussian_spec(), gamma_spec(1.0), uniform_spec()):
+        assert exists(spec) == [True] * 6
+    assert exists(STUDENT_T3) == [True] * 3 + [False] * 3
+    assert exists(PearsonSpec(1.0, 0.0, 1.0, -math.inf, math.inf)) == [True] * 2 + [False] * 4
+    assert exists(DOUBLE_ROOT) == [True] * 2 + [False] * 4
+    assert exists(PEARSON_IV) == [True] * 5 + [False]
+
+
 def test_explosion_check_rejects_nonvanishing_tau():
     with pytest.raises(ExplosionError):
         density_from_tau(PearsonSpec(0.0, 0.0, 1.0, -1.0, 1.0))

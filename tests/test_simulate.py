@@ -57,10 +57,12 @@ def test_fbm_reproducible_and_prefix_stable():
     assert not np.array_equal(a.values, d.values)
 
 
-def test_fbm_circulant_matches_cholesky_covariance():
+def test_fbm_circulant_matches_cholesky_covariance(monkeypatch):
     H, n, count = 0.7, 1500, 3000
-    circ = sample_fbm_increments(H, n, count, seed=3, method="circulant")
-    chol = sample_fbm_increments(H, n, count, seed=3, method="cholesky")
+    circ = sample_fbm_increments(H, n, count, seed=3)
+    monkeypatch.setattr(simulate, "CIRCULANT_MIN_N", n + 1)  # Cholesky at this n
+    chol = sample_fbm_increments(H, n, count, seed=3)
+    assert chol.meta["generator"] == "cholesky-toeplitz"
     assert circ.meta["generator"] == "circulant-embedding"
     assert not circ.meta["circulant_fallback"]
     tol = 3.0 / math.sqrt(count) * 1.5
@@ -122,14 +124,13 @@ def test_zn_memory_bounded_by_block():
     assert peak < count * n * 8
 
 
-def _oracle_fbm_blocks(H, n, count, seed, method="auto"):
+def _oracle_fbm_blocks(H, n, count, seed):
     """Deliberate oracle: the block sampler before chunked circulant
     reduction and the worker pool, kept as it was apart from its input
     checks and meta.  Each block is drawn whole (the circulant block as one
     complex array, its rows interleaved into a second one) and the blocks
     run one after another in block order."""
-    use_circulant = method == "circulant" or (method == "auto" and n >= CIRCULANT_MIN_N)
-    lam = simulate._circulant_eigs(H, n) if use_circulant else None
+    lam = simulate._circulant_eigs(H, n) if n >= simulate.CIRCULANT_MIN_N else None
 
     if lam is not None:
         m = 2 * n
@@ -162,9 +163,9 @@ def _oracle_fbm_blocks(H, n, count, seed, method="auto"):
     )
 
 
-def _oracle_increments(H, n, count, seed, method="auto"):
+def _oracle_increments(H, n, count, seed):
     out = np.empty((count, n))
-    for start, rows in _oracle_fbm_blocks(H, n, count, seed, method):
+    for start, rows in _oracle_fbm_blocks(H, n, count, seed):
         out[start : start + BLOCK_ROWS] = rows
     return out
 
@@ -210,11 +211,12 @@ def test_circulant_increments_match_oracle_at_every_count():
         assert np.array_equal(inc.values, _oracle_increments(0.3, n, count, 9))
 
 
-def test_forced_cholesky_above_circulant_threshold_matches_oracle():
+def test_forced_cholesky_above_circulant_threshold_matches_oracle(monkeypatch):
     n, count = 1100, BLOCK_ROWS + 7
-    inc = sample_fbm_increments(0.3, n, count, seed=9, method="cholesky")
+    monkeypatch.setattr(simulate, "CIRCULANT_MIN_N", n + 1)  # Cholesky at this n
+    inc = sample_fbm_increments(0.3, n, count, seed=9)
     assert inc.meta["generator"] == "cholesky-toeplitz"
-    assert np.array_equal(inc.values, _oracle_increments(0.3, n, count, 9, "cholesky"))
+    assert np.array_equal(inc.values, _oracle_increments(0.3, n, count, 9))
 
 
 def test_samples_do_not_depend_on_worker_count(monkeypatch):

@@ -19,8 +19,8 @@ from steinchaos.tensors import (
     TensorError,
     contract,
     gram_inner,
-    multiindex_multiplicity,
     raw_norm_sq,
+    sorted_coeffs,
     _jittered_cholesky,
     _orthonormal,
     symmetrize,
@@ -331,6 +331,14 @@ def test_identity_gram_skips_the_eigenvalue_check(monkeypatch):
 # ----------------------------------------------------------------------
 
 
+def _multiplicity(index):
+    """Number of distinct orderings of a sorted multi-index, by run lengths."""
+    count = math.factorial(len(index))
+    for _, group in itertools.groupby(index):
+        count //= math.factorial(sum(1 for _ in group))
+    return count
+
+
 def _dict_read_oracle(space, order, coeffs):
     """The per-entry loop that SymKernel.__init__ ran before its numpy read,
     kept here as the deliberate oracle of that read."""
@@ -343,7 +351,7 @@ def _dict_read_oracle(space, order, coeffs):
             raise TensorError(f"multi-index {idx} out of range [0, {space.dim})")
         if tuple(sorted(idx)) != idx:
             raise TensorError(f"multi-index {idx} is not sorted")
-        entry = float(value) / multiindex_multiplicity(idx)
+        entry = float(value) / _multiplicity(idx)
         for perm in set(itertools.permutations(idx)):
             arr[perm] = entry
     return arr
@@ -360,6 +368,48 @@ def test_numpy_dict_read_equals_the_entry_loop(data):
     space = GramSpace.standard(dim)
     assert np.array_equal(SymKernel(space, order, coeffs).to_dense(),
                           _dict_read_oracle(space, order, coeffs))
+
+
+def _sorted_coeffs_oracle(dense):
+    """The per-index loop that sorted_coeffs ran before its numpy gather,
+    kept here as the deliberate oracle of that gather."""
+    arr = np.asarray(dense)
+    out = {}
+    dim = arr.shape[0] if arr.ndim else 0
+    for index in itertools.combinations_with_replacement(range(dim), arr.ndim):
+        v = float(arr[index])
+        if v != 0.0:
+            out[index] = v * _multiplicity(index)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_sorted_coeffs_equals_the_index_loop(data):
+    dim = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(0, 5))
+    values = st.floats(-1e100, 1e100) | st.just(0.0)  # subnormals too
+    raw = np.array(data.draw(st.lists(values, min_size=dim**order, max_size=dim**order)))
+    dense = symmetrize(GramSpace.standard(dim), raw.reshape((dim,) * order)).to_dense()
+    got, expect = sorted_coeffs(dense), _sorted_coeffs_oracle(dense)
+    assert list(got) == list(expect)  # same keys in the same order
+    assert all(type(k[0]) is int for k in got if k)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in expect.values()]
+
+
+def test_sorted_coeffs_of_an_order_zero_kernel_and_of_zeros():
+    assert sorted_coeffs(np.array(2.5)) == {(): 2.5}
+    assert sorted_coeffs(np.array(0.0)) == {}
+    assert sorted_coeffs(np.zeros((3, 3, 3))) == {}
+
+
+def test_raw_norm_sq_of_a_scalar_is_its_square():
+    x = 1.0 / 3.0
+    for space in (GramSpace.standard(2), GramSpace([[2.0, 0.5], [0.5, 1.0]])):
+        assert raw_norm_sq(space, np.array(x)) == x * x
+        assert raw_norm_sq(space, x) == x * x
+        assert raw_norm_sq(space, -1.5) == 2.25
+        assert type(raw_norm_sq(space, x)) is float
 
 
 @pytest.mark.parametrize(
