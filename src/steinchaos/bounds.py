@@ -171,6 +171,13 @@ def _metric_constant(metric: str, nu: float | None = None) -> tuple[str, float]:
     return name, k1
 
 
+def _check_nu(*nus: float) -> None:
+    """BoundError unless every nu is a finite positive number: not NaN, inf or <= 0."""
+    for nu in nus:
+        if not 0.0 < nu < math.inf:
+            raise BoundError(f"nu must be a finite positive number, got {nu}")
+
+
 def _pair_coeff(p: int, q: int, r: int) -> int:
     """p^2 (r-1)!^2 binom(p-1, r-1)^2 binom(q-1, r-1)^2 (p+q-2r)!, exactly.
 
@@ -309,8 +316,7 @@ def second_chaos_gamma_bound(nu: float, m2: float, m3: float, m4: float) -> floa
     Vanishes exactly at the centered-Gamma moments (2 nu, 8 nu,
     48 nu + 12 nu^2).
     """
-    if nu <= 0:
-        raise BoundError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     constant = max(1.0, 1.0 / nu, 2.0 / nu**2)
     inner = (
         abs(m4 - 12.0 * m3 - 12.0 * nu**2 + 48.0 * nu) / 6.0
@@ -322,8 +328,7 @@ def second_chaos_gamma_bound(nu: float, m2: float, m3: float, m4: float) -> floa
 def stein_constants(nu: float) -> tuple[float | None, float]:
     """(K1, K2) with K1 = max{sqrt(2 pi/nu), 1/nu + 2/nu^2} for integer nu
     (None otherwise) and K2 = max{1, 1/nu + 2/nu^2}."""
-    if nu <= 0:
-        raise BoundError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     k2 = max(1.0, 1.0 / nu + 2.0 / nu**2)
     k1 = None
     if float(nu).is_integer():
@@ -352,8 +357,7 @@ def gamma_bound_single(
 
     (an equality at q = 2, where the middle sum is empty).
     """
-    if nu <= 0:
-        raise BoundError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     q = g.order
     if q < 2 or q % 2 != 0:
         raise BoundError(f"Gamma chaos bound needs an even order >= 2, got {q}")
@@ -391,8 +395,7 @@ def gamma_bound_sum(
     r = q_i/2.
     """
     _check_same_space(f1, f2)
-    if nu1 <= 0 or nu2 <= 0:
-        raise BoundError("both nu parameters must be positive")
+    _check_nu(nu1, nu2)
     q1, q2 = f1.order, f2.order
     if q1 % 2 != 0 or q2 % 2 != 0:
         raise BoundError("both orders must be even")

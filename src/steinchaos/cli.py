@@ -101,7 +101,8 @@ def _value(key: str, kind, value):
     """value as kind (float, int, list[int], str or bool), else a ConfigError.
 
     Numbers and numeric strings convert to float and int; an int refuses a
-    non-integral value rather than truncate it.
+    non-integral value rather than truncate it, and a float refuses NaN
+    ("inf" and "-inf" stay: pearson's a and b take them).
     """
     if kind == list[int] and isinstance(value, list):
         return [_value(key, int, v) for v in value]
@@ -115,7 +116,7 @@ def _value(key: str, kind, value):
             except ValueError:
                 pass
         if not isinstance(number, bool):
-            if kind is float and isinstance(number, (int, float)):
+            if kind is float and isinstance(number, (int, float)) and not math.isnan(number):
                 return float(number)
             if isinstance(number, int) or (isinstance(number, float) and number.is_integer()):
                 return int(number)

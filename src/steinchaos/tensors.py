@@ -25,7 +25,6 @@ so a bound on a non-identity space fills its ``cholesky_jitter``.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Iterable, Mapping
@@ -118,16 +117,14 @@ def sorted_coeffs(dense: np.ndarray) -> dict[tuple[int, ...], float]:
     the number of distinct orderings of J; zeros are dropped.
     """
     arr = np.asarray(dense, dtype=float)
-    dim, order = (arr.shape[0] if arr.ndim else 1), arr.ndim
-    count = math.comb(dim + order - 1, order)
-    rows = itertools.combinations_with_replacement(range(dim), order)
-    index = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                        count * order).reshape(count, order)
-    place = dim ** np.arange(order - 1, -1, -1)  # row-major strides, as in the dict read
-    values = arr.reshape(-1)[index @ place]
-    keep = values != 0.0
-    index = index[keep]
-    return dict(zip(map(tuple, index.tolist()), (values[keep] * _orderings(index)).tolist()))
+    dim = max(arr.shape, default=1)
+    up = np.arange(dim)[:, None] <= np.arange(dim)  # up[i, j] = i <= j
+    keep = arr != 0.0
+    for k in range(arr.ndim - 1):  # i_k <= i_{k+1}, broadcast over the other axes
+        keep &= up.reshape(up.shape + (1,) * (arr.ndim - 2 - k))
+    at = keep.reshape(-1).nonzero()[0]  # row-major, i.e. lexicographic, order
+    index = at[:, None] // dim ** np.arange(arr.ndim - 1, -1, -1) % dim
+    return dict(zip(map(tuple, index.tolist()), (arr.reshape(-1)[at] * _orderings(index)).tolist()))
 
 
 def _jittered_cholesky(
@@ -162,6 +159,8 @@ class GramSpace:
             raise TensorError(f"gram must be a numeric square matrix: {exc}") from None
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 1:
             raise TensorError(f"gram must be a square matrix, got shape {g.shape}")
+        if not np.isfinite(g).all():
+            raise TensorError("gram entries must be finite")
         if not np.array_equal(g, g.T):
             raise TensorError("gram matrix must be exactly symmetric")
         self._is_identity = bool(np.array_equal(g, np.eye(g.shape[0])))
@@ -246,7 +245,11 @@ class SymKernel:
         order = _integer(order, "order")
         if order < 0:
             raise InvalidOrderError(f"order must be >= 0, got {order}")
-        arr = np.zeros((space.dim,) * order)
+        try:
+            arr = np.zeros((space.dim,) * order)
+        except (ValueError, MemoryError) as exc:  # over numpy's 64 axes, or no room
+            raise TensorError(f"a kernel of {space.dim}^{order} entries cannot be "
+                              f"allocated: {exc}") from None
         if coeffs:
             keys = list(coeffs)
             index = _integral(keys, "multi-index entries")  # refuses ragged ones too
@@ -256,6 +259,8 @@ class SymKernel:
                 raise TensorError(f"kernel values must be numeric: {exc}") from None
             if index.shape != (len(keys), order) or values.shape != (len(keys),):
                 raise TensorError(f"every multi-index needs length {order} and a scalar value")
+            if not np.isfinite(values).all():
+                raise TensorError(f"kernel value {values[~np.isfinite(values)][0]} is not finite")
             bad = ((index < 0) | (index >= space.dim)).any(axis=1)
             if bad.any():
                 raise TensorError(
@@ -264,11 +269,18 @@ class SymKernel:
             bad = (index[:, 1:] < index[:, :-1]).any(axis=1)
             if bad.any():
                 raise TensorError(f"multi-index {keys[bad.argmax()]} is not sorted")
-            entry = values / _orderings(index)
-            place = space.dim ** np.arange(order - 1, -1, -1)  # row-major strides
-            flat = arr.reshape(-1)
-            for perm in itertools.permutations(range(order)):
-                flat[index @ place[list(perm)]] = entry
+            at = index @ (space.dim ** np.arange(order - 1, -1, -1))  # row-major offsets
+            arr.reshape(-1)[at] = values / _orderings(index)
+            filled = np.zeros(arr.shape, dtype=bool)  # the positions written so far
+            filled.reshape(-1)[at] = True
+            # copy to every ordering along symmetrize's coset walk: once the
+            # first k axes are closed under permutation, swapping axis k with
+            # each of them closes the first k + 1
+            for k in range(1, order):
+                for i in range(k):
+                    take = filled.swapaxes(i, k) > filled  # filled there, not here
+                    arr[take] = arr.swapaxes(i, k)[take]
+                    filled |= take
         self._set(space, arr)
 
     def _set(self, space: GramSpace, arr: np.ndarray) -> None:
@@ -373,6 +385,8 @@ class SymKernel:
             coeffs = {tuple(idx): float(val) for idx, val in obj["entries"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise TensorError(f"malformed kernel object: {exc!r}") from None
+        if len(coeffs) < len(obj["entries"]):  # [0, 1] and [0, 1.0] are one key
+            raise TensorError("kernel entries list a multi-index more than once")
         if space.dim != dim:
             raise TensorError("kernel dim does not match the supplied space")
         return cls(space, order, coeffs)

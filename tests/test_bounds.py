@@ -252,6 +252,17 @@ def test_gamma_single_h1_requires_integer_nu(plane):
     assert gamma_bound_single(g, 1.0, "h1").metric == "h1"
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0])
+def test_nu_must_be_finite_and_positive(plane, nu):
+    g, h = tensor_power(plane, E1, 2), tensor_power(plane, E2, 6)
+    calls = [lambda: stein_constants(nu), lambda: gamma_bound_single(g, nu),
+             lambda: gamma_bound_sum(g, nu, h, 1.0), lambda: gamma_bound_sum(g, 1.0, h, nu),
+             lambda: second_chaos_gamma_bound(nu, 2.0, 8.0, 60.0)]
+    for call in calls:
+        with pytest.raises(BoundError, match="finite positive"):
+            call()
+
+
 def test_midpoint_constant():
     assert midpoint_constant(2) == pytest.approx(1.0)
     assert midpoint_constant(4) == pytest.approx(1.0 / (2 * 9))

@@ -328,10 +328,11 @@ def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
          ()),
         ({"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8, 0]}}, ()),
         ({"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 0, "count": 100}}, ()),
+        ({"command": "gamma", "parameters": {"kernel": "unread.json", "nu": "nan"}}, ()),
     ],
     ids=["parameters-list", "parameters-string", "command-list", "metric-number",
          "misspelled-parameter", "unknown-seed", "seed-flag-without-seed", "dump-samples-string",
-         "negative-grid", "breuer-major-zero-n", "simulate-zero-n"],
+         "negative-grid", "breuer-major-zero-n", "simulate-zero-n", "gamma-nan-nu"],
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, config, extra):
     code, out = run_cli(tmp_path, config, extra=extra)
@@ -353,8 +354,16 @@ _KERNEL_OBJ = {"dim": 2, "order": 2, "entries": [[[0, 0], 0.5], [[1, 1], 0.5]],
         (json.dumps(dict(_KERNEL_OBJ, order="x")), EXIT_PRECONDITION),
         (json.dumps(dict(_KERNEL_OBJ, entries=[[[0, 0], "half"]])), EXIT_PRECONDITION),
         (json.dumps(dict(_KERNEL_OBJ, gram=[[1, "x"], ["x", 1]])), EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, entries=[[[0, 0], math.nan], [[1, 1], 0.5]])),
+         EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, gram=[[1, 0], [0, math.inf]])), EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, entries=[[[0, 1], 1.0], [[0, 1], 5.0]])),
+         EXIT_PRECONDITION),
+        (json.dumps(dict(_KERNEL_OBJ, dim=1, order=70, entries=[[[0] * 70, 1.0]], gram=[[1]])),
+         EXIT_PRECONDITION),
     ],
-    ids=["not-json", "no-gram", "order-string", "entry-string", "gram-string"],
+    ids=["not-json", "no-gram", "order-string", "entry-string", "gram-string", "entry-nan",
+         "gram-infinity", "repeated-index", "order-70"],
 )
 @pytest.mark.parametrize("command", ["bound", "gamma"])
 def test_malformed_kernel_files(tmp_path, capsys, command, text, expected):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,12 @@ _SPEC.loader.exec_module(layer_time)
 
 def _fake_timer(calls, seconds_of):
     """A time_call stand-in: records each call and returns synthetic times."""
-    def time_call(checkout, expression, k, env):
+    def time_call(checkout, expression, k, env, setup):
         side = checkout.name
         calls.append((side, expression, env["OPENBLAS_NUM_THREADS"]))
         median = seconds_of(side, expression, sum(c[:2] == (side, expression) for c in calls))
         return {"seconds": [median] * k, "median": median, "python": "3", "numpy": "2",
-                "blas": "openblas"}
+                "blas": "openblas", "peak_traced_mb": 2.0 if side == "parent" else 3.0}
     return time_call
 
 
@@ -53,6 +54,7 @@ def test_pairs_alternate_and_the_record_holds_both_sides(tmp_path, monkeypatch):
         assert c["parent"]["median"] == pytest.approx(1.005 * scale)
         assert c["change"]["median"] == pytest.approx(0.603 * scale)
         assert c["gain_rule_met"] and c["within_bound"]
+        assert c["peak_traced_mb"] == {"parent": 2.0, "change": 3.0, "ratio": 1.5}
 
 
 def test_a_slower_change_fails_the_bound(tmp_path, monkeypatch):
@@ -65,3 +67,12 @@ def test_a_slower_change_fails_the_bound(tmp_path, monkeypatch):
                      "--out", str(out), "--pairs", "4", "f()"])
     c = json.loads(out.read_text())["layer"]["f()"]
     assert c["change_losses"] == 4 and not c["gain_rule_met"] and not c["within_bound"]
+
+
+def test_the_timer_runs_the_setup_and_traces_one_call():
+    # a real timed process on this checkout: the setup binds N, the expression
+    # allocates N bytes, so the traced peak is at least 1 MiB
+    result = layer_time.time_call(_PATH.parent.parent, "bytearray(N)", 2, dict(os.environ),
+                                  "N = 2**20")
+    assert len(result["seconds"]) == 2
+    assert result["peak_traced_mb"] >= 1.0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -223,7 +224,8 @@ def test_gram_validation_rejects_indefinite():
         GramSpace(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-@pytest.mark.parametrize("gram", [[[1.0, "x"], ["x", 1.0]], [[1.0, 0.0], [0.0]], [[1.0, {}]]])
+@pytest.mark.parametrize("gram", [[[1.0, "x"], ["x", 1.0]], [[1.0, 0.0], [0.0]], [[1.0, {}]],
+                                  [[1.0, 0.0], [0.0, math.inf]]])
 def test_gram_validation_rejects_non_numeric_and_ragged(gram):
     with pytest.raises(TensorError):
         GramSpace(gram)
@@ -282,7 +284,8 @@ def test_kernel_json_round_trip():
     "change",
     [{"gram": None}, {"dim": None}, {"entries": None}, {"order": "x"},
      {"entries": [[[0, 0], "half"]]}, {"entries": [[["a", 0], 0.5]]}, {"entries": [[[0, 0]]]},
-     {"gram": [[1.0, "x"], ["x", 1.0]]}],
+     {"gram": [[1.0, "x"], ["x", 1.0]]}, {"entries": [[[0, 1], 1.0], [[0, 1.0], 5.0]]},
+     {"dim": 1, "order": 70, "gram": [[1.0]], "entries": []}],
 )
 def test_kernel_json_malformed_is_tensor_error(change):
     obj = {"dim": 2, "order": 2, "entries": [[[0, 0], 0.5]], "gram": [[1.0, 0.0], [0.0, 1.0]]}
@@ -370,6 +373,29 @@ def test_numpy_dict_read_equals_the_entry_loop(data):
                           _dict_read_oracle(space, order, coeffs))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_dict_read_matches_the_entry_loop_bit_for_bit(data):
+    dim = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(0, 5))
+    indices = list(itertools.combinations_with_replacement(range(dim), order))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0])
+    coeffs = data.draw(st.dictionaries(st.sampled_from(indices), values))
+    space = GramSpace.standard(dim)
+    assert (SymKernel(space, order, coeffs).to_dense().tobytes()
+            == _dict_read_oracle(space, order, coeffs).tobytes())  # signed zeros too
+
+
+def test_dict_read_work_does_not_grow_with_the_orderings():
+    # one entry at d = 1: the array has one element whatever q is, so the
+    # read must not walk the q! axis permutations
+    for order in (10, 25):
+        start = time.perf_counter()
+        kernel = SymKernel(GramSpace.standard(1), order, {(0,) * order: 2.0})
+        assert time.perf_counter() - start < 1.0
+        assert kernel.coeffs == {(0,) * order: 2.0}
+
+
 def _sorted_coeffs_oracle(dense):
     """The per-index loop that sorted_coeffs ran before its numpy gather,
     kept here as the deliberate oracle of that gather."""
@@ -416,7 +442,8 @@ def test_raw_norm_sq_of_a_scalar_is_its_square():
     "order, coeffs",
     [(2.5, {(0, 1): 1.0}), (2, {(0, 0.7): 1.0}), (2, {(0, float("nan")): 1.0}),
      (float("inf"), {}), ([2], {}), (2, {(0,): 1.0}), (1, {0: 1.0}), (2, {(1, 0): 1.0}),
-     (2, {(0, 2): 1.0}), (2, {(-1, 0): 1.0}), (2, {(0, 1): "half"}), (2, {(0, 1): [1.0]})],
+     (2, {(0, 2): 1.0}), (2, {(-1, 0): 1.0}), (2, {(0, 1): "half"}), (2, {(0, 1): [1.0]}),
+     (2, {(0, 1): math.nan}), (2, {(0, 0): 1.0, (1, 1): -math.inf})],
 )
 def test_dict_read_refuses_what_it_cannot_read_exactly(plane, order, coeffs):
     with pytest.raises(TensorError):
