@@ -5,11 +5,13 @@ built in one place.  Products T x embed T in the circulant of first column
 [c, c[n-1], ..., c[1]] (length 2n - 1); the complete-graph sum zero-pads
 its lag sequences to a power of two >= 3n - 2, which no convolution of
 them wraps.  Both are numpy rffts.  On them rest the entry sum (O(n)), the
-four-cycle trace tr((A B)^2), walked along the diagonals of A B (O(n^2)
-time in O(n) memory), and the complete-graph sum (O(n^2 log n) time in
-O(n) memory), with the op counts of the two traces for a caller's budget.
-scipy.linalg's toeplitz and matmul_toeplitz are the test oracles of the
-dense builder and the product.
+four-cycle trace tr((A B - C)^2), walked along the diagonals of A B - C
+(O(n^2) time in O(n) memory; Breuer-Major takes C = 0, and the chi2 Gamma
+bound ||M^2 - M||^2 takes A = B = C = M), and the complete-graph sum
+(O(n^2 log n) time in O(n) memory), with the op counts of the two traces
+for a caller's budget.  scipy.linalg's toeplitz and matmul_toeplitz are the
+test oracles of the dense builder and the product; dense matrix products
+and an extended-precision walk are those of the four-cycle trace.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Entries of the product diagonals walked per block in _four_cycle.
+# Entries of the product diagonals walked per block in _four_cycle: at most
+# WALK_BLOCK, and at least WALK_MIN where n allows (see _walk_rows).
 WALK_BLOCK = 1 << 19
+WALK_MIN = 1 << 14
 
 
 def _two_sided(c: np.ndarray) -> np.ndarray:
@@ -63,56 +67,80 @@ def _trace_ops(n: int) -> tuple[int, int]:
     return n**2, n * 15 * (size.bit_length() - 1) * size
 
 
-def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray,
-                       d0: int, d1: int) -> np.ndarray:
-    """Diagonals d0 <= d < d1 of X Y, X and Y symmetric Toeplitz.
+def _walk_rows(n: int) -> int:
+    """Diagonals per block of _product_diagonals: at most WALK_BLOCK entries
+    (O(n) memory), and at most an eighth of the diagonals unless that leaves
+    blocks of fewer than WALK_MIN entries.  Each block walks its widest
+    diagonal's length, so narrow blocks keep the walk close to the triangle
+    d >= 0 (n^2 / 2 entries), where one n x n block walks n^2."""
+    return max(1, min(n, WALK_BLOCK // n, max(-(-n // 8), WALK_MIN // n)))
 
-    x and y are the first columns and row0 is row 0 of X Y.  Row d - d0 of
-    the result holds (X Y)[i, i + d] for i < n - d0, walked from row0[d] by
-    the displacement identity
 
-        (X Y)[i+1, j+1] = (X Y)[i, j] + x[i+1] y[j+1] - x[n-1-i] y[n-1-j];
+def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray, step: int):
+    """Diagonals d >= 0 of X Y (X, Y symmetric Toeplitz), step at a time.
 
-    entries with i >= n - d lie past the end of their diagonal.
+    x and y are the first columns and row0 is row 0 of X Y.  Yields one
+    block per d0 = 0, step, 2 step, ...: its row d - d0 holds (X Y)[i, i + d]
+    for i < n - d0, walked from row0[d] by the displacement identity
+
+        (X Y)[i+1, j+1] = (X Y)[i, j] + x[i+1] y[j+1] - x[n-1-i] y[n-1-j],
+
+    with the entries past the end of each diagonal (i >= n - d) zeroed.  The
+    identity holds as well for X Y - C with C symmetric Toeplitz, whose
+    displacement is zero, so row0 = row 0 of X Y - C walks X Y - C.  Every
+    block is a view of one buffer that the next block overwrites.
     """
     n = x.size
-    width = n - d0
-    walk = np.empty((d1 - d0, width))
-    walk[:, 0] = row0[d0:d1]
-    if width > 1:
-        pad = np.zeros(n)
-        ahead = sliding_window_view(np.concatenate([y, pad]), width - 1)
-        behind = sliding_window_view(np.concatenate([y[::-1], pad]), width - 1)
-        np.multiply(x[1:width], ahead[d0 + 1 : d1 + 1], out=walk[:, 1:])
-        walk[:, 1:] -= x[::-1][: width - 1] * behind[d0:d1]
-    return np.cumsum(walk, axis=1, out=walk)
+    # row s of ahead holds y[s + 1 :] and row s of behind y[n - 1 - s :: -1],
+    # zero-padded to n - 1 entries
+    padded = np.zeros((2, 2 * n))
+    padded[0, : n - 1], padded[1, :n] = y[1:], y[::-1]
+    ahead, behind = sliding_window_view(padded, n - 1, axis=1)
+    # the mask of the last block, of count <= step rows, is its last count rows
+    ends = np.arange(step - 1) < (step - 1 - np.arange(step))[:, None]
+    walk, back = np.empty(step * n), np.empty(step * n)
+    for d0 in range(0, n, step):
+        width, count = n - d0, min(step, n - d0)
+        block = walk[: count * width].reshape(count, width)
+        block[:, 0] = row0[d0 : d0 + count]
+        steps = block[:, 1:]
+        np.multiply(x[1:width], ahead[d0 : d0 + count, : width - 1], out=steps)
+        behind_part = back[: count * (width - 1)].reshape(count, width - 1)
+        np.multiply(x[::-1][: width - 1], behind[d0 : d0 + count, : width - 1], out=behind_part)
+        steps -= behind_part
+        np.cumsum(block, axis=1, out=block)
+        block[:, width - count + 1 :] *= ends[step - count :, : count - 1]
+        yield block
 
 
-def _four_cycle(a: np.ndarray, b: np.ndarray) -> float:
-    """tr((A B)^2) for symmetric Toeplitz A, B with first columns a, b.
+def _four_cycle(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> float:
+    """tr((A B - C)^2) for symmetric Toeplitz A, B, C with first columns a, b,
+    c (C = 0 when c is None): tr((A B)^2), or ||A^2 - C||_F^2 when A is B.
 
-    tr((A B)^2) = sum_d (diagonal d of A B) . (diagonal -d of A B), and
-    diagonal -d of A B is diagonal d of B A.  Row 0 of A B is B a and row 0
-    of B A is A b (two FFT Toeplitz products; one walk when A is B, since
-    then A B is symmetric).  The diagonals are walked in blocks of about
-    WALK_BLOCK entries, so memory stays O(n).  It equals _complete_graph(n,
-    a, ones, b) to rounding, and stays as its own O(n^2) walk because that
-    FFT sum is O(n^2 log n): 79 ms against 3.4 s at n = 4096, H = 0.7 (one
-    call each on a 2-core Xeon VM).
+    tr((A B - C)^2) = sum_d (diagonal d of A B - C) . (diagonal -d of A B - C),
+    and diagonal -d of A B - C is diagonal d of B A - C.  Row 0 of A B is B a
+    and row 0 of B A is A b (two FFT Toeplitz products; one walk when A is B,
+    since then A B is symmetric); c is taken off both before the walk, so C
+    leaves every entry before it is squared, and no difference of large
+    traces cancels as A B approaches C.  The diagonals are walked in blocks of
+    _walk_rows(n) (_product_diagonals), so memory stays O(n) and time
+    O(n^2).  With c None it equals _complete_graph(n, a, ones, b) to
+    rounding, and stays as its own O(n^2) walk because that FFT sum is
+    O(n^2 log n): 79 ms against 3.4 s at n = 4096, H = 0.7 (one call each
+    on a 2-core Xeon VM).
     """
     n = a.size
     row_ab = _toeplitz_product(b, a)
     row_ba = row_ab if a is b else _toeplitz_product(a, b)
-    step = max(1, WALK_BLOCK // n)
+    if c is not None:
+        row_ab = row_ab - c
+        row_ba = row_ab if a is b else row_ba - c
+    step = _walk_rows(n)
+    uppers = _product_diagonals(a, b, row_ab, step)
+    pairs = (((u, u) for u in uppers) if a is b
+             else zip(uppers, _product_diagonals(b, a, row_ba, step)))
     total = 0.0
-    for d0 in range(0, n, step):
-        d1 = min(n, d0 + step)
-        upper = _product_diagonals(a, b, row_ab, d0, d1)
-        lower = upper if a is b else _product_diagonals(b, a, row_ba, d0, d1)
-        # zero the entries past the end of each diagonal
-        width, count = n - d0, d1 - d0
-        tail = np.arange(count - 1) < (count - 1 - np.arange(count))[:, None]
-        upper[:, width - count + 1 :] *= tail
+    for d0, (upper, lower) in zip(range(0, n, step), pairs):
         dots = np.einsum("ij,ij->i", upper, lower)
         total += 2.0 * float(dots.sum()) - (float(dots[0]) if d0 == 0 else 0.0)
     return total

@@ -25,6 +25,10 @@ _cross_terms (the (i, j, r) sum of contraction norms, which takes
 Each kernel bound first moves its kernels into the orthonormal frame of
 their Gram space (``tensors._orthonormal``, one Cholesky factor per space),
 so every contraction, symmetrization and norm after that runs under G = I.
+One private helper, _toeplitz_gamma_bound, gives the q = 2 Gamma bound of a
+symmetric Toeplitz kernel on the standard space from its first column
+alone, through the traces of steinchaos._toeplitz; chi2-example runs on it,
+and gamma_bound_single on the dense kernel is its oracle.
 
 Reports always carry the term-by-term decomposition so experiments can
 attribute error mass to the variance mismatch versus each contraction order.
@@ -37,6 +41,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
+from ._toeplitz import _entry_sum, _four_cycle
 from .chaos import ChaosVector, _pairing_weight, derivative_norm_sq
 from .tensors import (
     SymKernel,
@@ -372,6 +379,22 @@ def gamma_bound_single(
     terms.append((q // 2, 4.0 * _midpoint_sq(g)))
     terms.sort()
     return _assemble(metric, constant, variance, terms)
+
+
+def _toeplitz_gamma_bound(c: np.ndarray, nu: float, metric: str = "h2") -> BoundReport:
+    """gamma_bound_single of the order-2 kernel g[k, l] = c[|k - l|] on the
+    standard space, from the first column c alone (no n x n array).
+
+    At q = 2 the bound needs two numbers: ||g||^2 = sum_{|t|<n} (n - |t|)
+    c(|t|)^2, an O(n) entry sum, and the midpoint term 8 ||g^2 - g||^2
+    (c_2 = 1), the four-cycle walk of _toeplitz with g taken off every
+    diagonal of g^2 before squaring: O(n^2) time in O(n) memory.
+    gamma_bound_single on the dense kernel is its test oracle.
+    """
+    _check_nu(nu)
+    metric, constant = _metric_constant(metric, nu)
+    variance = (2.0 * nu - 2.0 * _entry_sum(c * c)) ** 2
+    return _assemble(metric, constant, variance, [(1, 8.0 * _four_cycle(c, c, c))])
 
 
 def gamma_bound_sum(

@@ -6,9 +6,14 @@ bound          Gaussian-approximation report for a kernel file.
 gamma          Gamma-approximation report for a kernel file.
 breuer-major   Exact Kolmogorov-bound table over a list of grid sizes n.
 chi2-example   Quadratic-functional example: kernel M[k,l] = a(k-l)/n with
-               a(r) = 1 + 2^{-|r|} for r != 0 (the dense builder of
-               steinchaos._toeplitz), swept over n, reported through the
-               Gamma bound at nu = 1 (target N^2 - 1).
+               a(0) = 1 and a(r) = 1 + 2^{-|r|} for r != 0, swept over n,
+               reported through the Gamma bound at nu = 1 (target N^2 - 1).
+               M is symmetric Toeplitz, so the bound comes from its first
+               column alone (bounds._toeplitz_gamma_bound: ||M||^2 in O(n),
+               ||M^2 - M||^2 by a diagonal walk in O(n^2) time and O(n)
+               memory); no n x n array is built.  Every n is checked before
+               any row runs: an n whose n^2 walk exceeds breuer-major's op
+               budget (n > 44,721) is a precondition error.
 pearson        Sampled density/tau grid, the moments 0-4 (null where the
                moment does not exist) and the log-derivative coefficients
                for a quadratic-tau spec.
@@ -49,15 +54,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, simulate
-from ._toeplitz import _toeplitz
-from .bounds import BoundError, BoundReport, gamma_bound_single, gauss_bound_single
+from ._toeplitz import _trace_ops
+from .bounds import (BoundError, BoundReport, _toeplitz_gamma_bound, gamma_bound_single,
+                     gauss_bound_single)
 from .breuer_major import (DEFAULT_OP_BUDGET, BmInstance, BreuerMajorError, bm_bound_exact,
                            bm_table)
 from .chaos import ChaosError
 from .pearson import (PearsonError, PearsonSpec, _moment_exists, density_from_tau,
                       pearson_classify)
 from .simulate import SimulationError, empirical_kolmogorov, sample_Zn
-from .tensors import GramSpace, SymKernel, TensorError
+from .tensors import SymKernel, TensorError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +108,8 @@ def _value(key: str, kind, value):
 
     Numbers and numeric strings convert to float and int; an int refuses a
     non-integral value rather than truncate it, and a float refuses NaN
-    ("inf" and "-inf" stay: pearson's a and b take them).
+    ("inf" and "-inf" stay: pearson's a and b take them), and an integer
+    beyond the float range.
     """
     if kind == list[int] and isinstance(value, list):
         return [_value(key, int, v) for v in value]
@@ -116,8 +123,13 @@ def _value(key: str, kind, value):
             except ValueError:
                 pass
         if not isinstance(number, bool):
-            if kind is float and isinstance(number, (int, float)) and not math.isnan(number):
-                return float(number)
+            if kind is float and isinstance(number, (int, float)):
+                try:
+                    number = float(number)
+                except OverflowError:
+                    raise ConfigError(f"parameter {key!r} lies beyond the float range") from None
+                if not math.isnan(number):
+                    return number
             if isinstance(number, int) or (isinstance(number, float) and number.is_integer()):
                 return int(number)
     raise ConfigError(f"parameter {key!r} must be {_KIND_NOUNS[kind]}, got {value!r}")
@@ -168,11 +180,13 @@ def _chi2_sequence(r: np.ndarray) -> np.ndarray:
 def _cmd_chi2_example(ns: list[int], metric: str):
     if any(n < 1 for n in ns):
         raise ConfigError("all n must be >= 1")
+    for n in ns:
+        if _trace_ops(n)[0] > DEFAULT_OP_BUDGET:
+            raise BoundError(f"n = {n} walks n^2 diagonal entries, over the op budget "
+                             f"{DEFAULT_OP_BUDGET:.2g} (n <= {math.isqrt(DEFAULT_OP_BUDGET)})")
     rows = []
     for n in ns:
-        matrix = _toeplitz(_chi2_sequence(np.arange(n)) / n)
-        kernel = SymKernel.from_dense(GramSpace.standard(n), matrix)
-        report = gamma_bound_single(kernel, 1.0, metric)
+        report = _toeplitz_gamma_bound(_chi2_sequence(np.arange(n)) / n, 1.0, metric)
         rows.append([n, report.variance_term, report.squared_total, report.bound])
     grid, bounds = np.array(ns, dtype=float), np.array([row[-1] for row in rows])
     fit = bounds > 0.0  # a bound of 0 (n = 1) has no log-log slope
@@ -188,7 +202,10 @@ def _cmd_pearson(alpha: float, beta: float, gamma: float, a: float, b: float, gr
     density = density_from_tau(spec)
     lo, hi = density.effective_range()
     span = hi - lo
-    xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid)
+    try:
+        xs = np.linspace(lo + 1e-4 * span, hi - 1e-4 * span, grid)
+    except (ValueError, OverflowError, MemoryError) as exc:  # too large for numpy
+        raise PearsonError(f"numpy cannot allocate the 'grid' of points: {exc}") from None
     rows = np.column_stack([xs, density.pdf(xs), spec.tau(xs)]).tolist()
     ode = pearson_classify(spec)
     moments = [density.moment(k) if _moment_exists(spec, k) else None for k in range(5)]

@@ -211,7 +211,7 @@ def _fbm_blocks(
     if lam is not None:
         m = 2 * n
         root = np.sqrt(lam)
-        scale = math.sqrt(m)
+        inv_scale = 1.0 / math.sqrt(m)
         draws = (BLOCK_ROWS + 1) // 2
         generator = "circulant-embedding"
 
@@ -230,7 +230,8 @@ def _fbm_blocks(
                 imag = rng.standard_normal(out=real[d0:d1])
                 np.multiply(imag, root, out=z.imag)
                 y = np.fft.fft(z, axis=1, out=z)[:, :n]
-                y /= scale
+                parts = y.view(float)  # real and imaginary parts, side by side
+                parts *= inv_scale
                 yield slice(2 * d0, 2 * d1, 2), y.real
                 yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0]
 

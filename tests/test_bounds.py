@@ -7,9 +7,11 @@ import pytest
 
 from conftest import derivative_norm_poly, random_gram, random_kernel, rank_two_gram
 from steinchaos import wick
+from steinchaos._toeplitz import _toeplitz
 from steinchaos.bounds import (
     BoundError,
     _pair_coeff,
+    _toeplitz_gamma_bound,
     chi2_double_bound,
     gamma_bound_single,
     gamma_bound_sum,
@@ -23,6 +25,7 @@ from steinchaos.bounds import (
     stein_constants,
 )
 from steinchaos.chaos import ChaosVector, derivative_norm_sq, exact_moment, malliavin_inner
+from steinchaos.cli import _chi2_sequence
 from steinchaos.tensors import (
     GramSpace,
     SpaceMismatchError,
@@ -221,6 +224,40 @@ def test_gamma_single_exact_chi2(plane):
     report = gamma_bound_single(tensor_power(plane, E1, 2), 1.0)
     assert report.squared_total == pytest.approx(0.0, abs=1e-12)
     assert report.bound == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["h1", "h2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 512])
+def test_toeplitz_gamma_bound_matches_dense_oracle(n, metric):
+    # the chi2-example kernel a(k - l)/n and a random symmetric Toeplitz
+    # kernel, against gamma_bound_single on the dense n x n kernel
+    columns = [_chi2_sequence(np.arange(n)) / n,
+               np.random.default_rng(n).uniform(-1.0, 1.0, n) / n]
+    for c in columns:
+        got = _toeplitz_gamma_bound(c, 1.0, metric)
+        want = gamma_bound_single(SymKernel.from_dense(GramSpace.standard(n), _toeplitz(c)),
+                                  1.0, metric)
+        assert (got.metric, got.metric_constant) == (want.metric, want.metric_constant)
+        assert [r for r, _ in got.contraction_terms] == [r for r, _ in want.contraction_terms]
+        for field in ("variance_term", "squared_total", "bound"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12), field
+        assert got.contraction_terms[0][1] == pytest.approx(want.contraction_terms[0][1],
+                                                            rel=1e-12)
+
+
+def test_toeplitz_gamma_bound_at_n_1_is_exactly_zero():
+    # M = [[1]] is the chi^2 kernel itself: M^2 = M and 2 ||M||^2 = 2 nu
+    report = _toeplitz_gamma_bound(_chi2_sequence(np.arange(1)), 1.0, "h1")
+    assert (report.variance_term, report.squared_total, report.bound) == (0.0, 0.0, 0.0)
+
+
+def test_toeplitz_gamma_bound_checks_like_gamma_single():
+    with pytest.raises(BoundError, match="nu"):
+        _toeplitz_gamma_bound(np.ones(3), math.nan)
+    with pytest.raises(BoundError, match="integer nu"):
+        _toeplitz_gamma_bound(np.ones(3), 1.5, "h1")
+    with pytest.raises(BoundError, match="unknown metric"):
+        _toeplitz_gamma_bound(np.ones(3), 1.0, "h3")
 
 
 def test_gamma_single_two_point(plane):

@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from steinchaos import simulate
+from steinchaos import bounds, cli, simulate
+from steinchaos._toeplitz import _trace_ops
 from steinchaos.breuer_major import DEFAULT_OP_BUDGET
 from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, _normal_cdf, main
 from steinchaos.tensors import GramSpace, tensor_power
@@ -96,6 +98,58 @@ def test_chi2_example_command(tmp_path):
     assert manifest["result"]["slope"] < -0.3
     rows = (out / "chi2_example.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3
+
+
+def test_chi2_example_memory_is_linear_in_n():
+    # the dense n x n kernel took 896 MiB traced at n = 4096; the walk keeps
+    # two blocks of WALK_BLOCK entries
+    tracemalloc.start()
+    try:
+        _, rows, _ = cli._cmd_chi2_example([4096], "h1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0][3] > 0.0
+    assert peak <= 16 * 2**20
+
+
+def test_chi2_example_runs_no_breuer_major_or_tensors_code(tmp_path):
+    files = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        code, _ = run_cli(tmp_path, {"command": "chi2-example", "parameters": {"ns": [8, 16]}})
+    finally:
+        sys.setprofile(None)
+    assert code == EXIT_OK
+    assert any(f.endswith("_toeplitz.py") for f in files)
+    assert not [f for f in files if f.endswith(("breuer_major.py", "tensors.py"))]
+
+
+@pytest.mark.parametrize("ns", [[100_000], [16, 10**30]], ids=["1e5", "1e30-after-16"])
+def test_chi2_example_refuses_n_over_the_op_budget_before_any_row(tmp_path, capsys,
+                                                                 monkeypatch, ns):
+    calls = []
+    monkeypatch.setattr(cli, "_toeplitz_gamma_bound",
+                        lambda *args: calls.append(args) or bounds._toeplitz_gamma_bound(*args))
+    code, out = run_cli(tmp_path, {"command": "chi2-example", "parameters": {"ns": ns}})
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "op budget" in err and "Traceback" not in err
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+def test_chi2_example_admits_the_largest_n_under_the_op_budget():
+    # the guard alone: n = isqrt(budget) walks n^2 <= budget entries
+    largest = math.isqrt(DEFAULT_OP_BUDGET)
+    with pytest.raises(bounds.BoundError):
+        cli._cmd_chi2_example([largest + 1], "h1")
+    assert _trace_ops(largest)[0] <= DEFAULT_OP_BUDGET < _trace_ops(largest + 1)[0]
 
 
 @pytest.mark.parametrize("alpha, gamma, finite", [(0.5, 1.5, [1.0, 0.0, 3.0]), (1.0, 1.0, [1.0, 0.0])],
@@ -339,6 +393,25 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, config, extra):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bad config" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # 10^340 is a valid JSON integer with no float value
+    parameters = {"alpha": 0, "beta": 0, "gamma": 10**340, "a": "-inf", "b": "inf"}
+    code, out = run_cli(tmp_path, {"command": "pearson", "parameters": parameters})
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'gamma'" in err and "float range" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_pearson_grid_numpy_cannot_hold_is_a_precondition_error(tmp_path, capsys):
+    parameters = {"alpha": 0, "beta": 0, "gamma": 1, "a": "-inf", "b": "inf", "grid": 10**340}
+    code, out = run_cli(tmp_path, {"command": "pearson", "parameters": parameters})
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "grid" in err and "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
 
