@@ -381,7 +381,7 @@ def gamma_bound_single(
     return _assemble(metric, constant, variance, terms)
 
 
-def _toeplitz_gamma_bound(c: np.ndarray, nu: float, metric: str = "h2") -> BoundReport:
+def _toeplitz_gamma_bound(c: np.ndarray, nu: float, metric: str) -> BoundReport:
     """gamma_bound_single of the order-2 kernel g[k, l] = c[|k - l|] on the
     standard space, from the first column c alone (no n x n array).
 

@@ -253,7 +253,7 @@ def test_toeplitz_gamma_bound_at_n_1_is_exactly_zero():
 
 def test_toeplitz_gamma_bound_checks_like_gamma_single():
     with pytest.raises(BoundError, match="nu"):
-        _toeplitz_gamma_bound(np.ones(3), math.nan)
+        _toeplitz_gamma_bound(np.ones(3), math.nan, "h2")
     with pytest.raises(BoundError, match="integer nu"):
         _toeplitz_gamma_bound(np.ones(3), 1.5, "h1")
     with pytest.raises(BoundError, match="unknown metric"):

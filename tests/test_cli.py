@@ -134,8 +134,7 @@ def test_chi2_example_runs_no_breuer_major_or_tensors_code(tmp_path):
 def test_chi2_example_refuses_n_over_the_op_budget_before_any_row(tmp_path, capsys,
                                                                  monkeypatch, ns):
     calls = []
-    monkeypatch.setattr(cli, "_toeplitz_gamma_bound",
-                        lambda *args: calls.append(args) or bounds._toeplitz_gamma_bound(*args))
+    monkeypatch.setattr(cli, "_toeplitz_gamma_bound", lambda *args: calls.append(args))
     code, out = run_cli(tmp_path, {"command": "chi2-example", "parameters": {"ns": ns}})
     assert code == EXIT_PRECONDITION
     err = capsys.readouterr().err
@@ -144,8 +143,8 @@ def test_chi2_example_refuses_n_over_the_op_budget_before_any_row(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
-def test_chi2_example_admits_the_largest_n_under_the_op_budget():
-    # the guard alone: n = isqrt(budget) walks n^2 <= budget entries
+def test_chi2_example_guard_refuses_from_isqrt_of_the_budget_on():
+    # n = isqrt(budget) walks n^2 <= budget entries, one more does not
     largest = math.isqrt(DEFAULT_OP_BUDGET)
     with pytest.raises(bounds.BoundError):
         cli._cmd_chi2_example([largest + 1], "h1")
