@@ -1,23 +1,24 @@
 """Symmetric Toeplitz matrices, each given by its first column c.
 
-T[i, j] = c[|i - j|]; the two-sided sequence c(|t|), t in (-n, n), is
-built in one place.  Products T x embed T in the circulant of first column
-[c, c[n-1], ..., c[1]] (length 2n - 1); the complete-graph sum zero-pads
-its lag sequences to a power of two >= 3n - 2, which no convolution of
-them wraps.  Both are numpy rffts.  On them rest the entry sum (O(n)), the
-four-cycle trace tr((A B - C)^2), walked along the diagonals of A B - C
-(O(n^2) time in O(n) memory; Breuer-Major takes C = 0, and the chi2 Gamma
-bound ||M^2 - M||^2 takes A = B = C = M), and the complete-graph sum
-(O(n^2 log n) time in O(n) memory), with the op counts of the two traces
-for a caller's budget.  scipy.linalg's toeplitz and matmul_toeplitz are the
-test oracles of the dense builder and the product; dense matrix products
-and an extended-precision walk are those of the four-cycle trace.
+T[i, j] = c[|i - j|]; the two-sided sequence c(|t|), t in (-n, n), and the
+first column of the circulant that embeds T are built here and nowhere
+else.  Products T x embed T in the circulant of size 2n (c padded by one
+zero); the complete-graph sum zero-pads its lag sequences to a power of two
+>= 3n - 2, which no convolution of them wraps.  Both are numpy rffts.  On
+them rest the entry sum (O(n)), the four-cycle trace tr((A B - C)^2),
+walked once along the diagonals d >= 0 of A B - C (O(n^2) time in O(n)
+memory; Breuer-Major takes C = 0, and the chi2 Gamma bound ||M^2 - M||^2
+takes A = B = C = M), and the complete-graph sum (O(n^2 log n) time in O(n)
+memory), with the op counts of the two traces for a caller's budget.
+scipy.linalg's toeplitz and matmul_toeplitz are the test oracles of the
+dense builder and the product; dense matrix products and an
+extended-precision walk are those of the four-cycle trace.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 # Entries of the product diagonals walked per block in _four_cycle: at most
 # WALK_BLOCK, and at least WALK_MIN where n allows (see _walk_rows).
@@ -40,16 +41,23 @@ def _toeplitz(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(_two_sided(c), c.size)[::-1].copy()
 
 
+def _circulant_column(c: np.ndarray) -> np.ndarray:
+    """[c, c[m-1], ..., c[1]] for c of m + 1 entries: the first column of the
+    circulant of size 2m whose leading (m + 1) x (m + 1) block is the
+    symmetric Toeplitz matrix of first column c."""
+    return np.concatenate([c, c[-2:0:-1]])
+
+
 def _toeplitz_product(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """T x for the symmetric Toeplitz T with first column c, by FFT.
 
-    T is embedded in the circulant of first column [c, c[n-1], ..., c[1]]
-    (length 2n - 1), whose product with x zero-padded to that length holds
-    T x in its first n entries: O(n log n) time.
+    T is the leading block of the circulant of c padded by one zero (size
+    2n), whose product with x zero-padded to that size holds T x in its
+    first n entries: O(n log n) time.
     """
     n = c.size
-    size = 2 * n - 1
-    embedded = np.fft.rfft(np.roll(_two_sided(c), 1 - n))
+    size = 2 * n
+    embedded = np.fft.rfft(_circulant_column(np.append(c, 0.0)))
     return np.fft.irfft(embedded * np.fft.rfft(x, size), size)[:n]
 
 
@@ -115,33 +123,34 @@ def _product_diagonals(x: np.ndarray, y: np.ndarray, row0: np.ndarray, step: int
 
 def _four_cycle(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> float:
     """tr((A B - C)^2) for symmetric Toeplitz A, B, C with first columns a, b,
-    c (C = 0 when c is None): tr((A B)^2), or ||A^2 - C||_F^2 when A is B.
+    c (C = 0 when c is None): tr((A B)^2), or ||A^2 - C||_F^2 when A = B.
 
-    tr((A B - C)^2) = sum_d (diagonal d of A B - C) . (diagonal -d of A B - C),
-    and diagonal -d of A B - C is diagonal d of B A - C.  Row 0 of A B is B a
-    and row 0 of B A is A b (two FFT Toeplitz products; one walk when A is B,
-    since then A B is symmetric); c is taken off both before the walk, so C
-    leaves every entry before it is squared, and no difference of large
-    traces cancels as A B approaches C.  The diagonals are walked in blocks of
-    _walk_rows(n) (_product_diagonals), so memory stays O(n) and time
+    tr((A B - C)^2) = sum_d (diagonal d of A B - C) . (diagonal -d of A B - C).
+    With J the exchange matrix, J T J = T for every symmetric Toeplitz T, so
+    J (A B - C) J = A B - C: diagonal -d is diagonal d reversed, and one walk
+    of the diagonals d >= 0 carries the whole trace.  Row 0 of A B is B a
+    (one FFT Toeplitz product); c is taken off it before the walk, so C
+    leaves every entry before the products, and no difference of large
+    traces cancels as A B approaches C.  The diagonals are walked in blocks
+    of _walk_rows(n) (_product_diagonals), so memory stays O(n) and time
     O(n^2).  With c None it equals _complete_graph(n, a, ones, b) to
     rounding, and stays as its own O(n^2) walk because that FFT sum is
     O(n^2 log n): 79 ms against 3.4 s at n = 4096, H = 0.7 (one call each
     on a 2-core Xeon VM).
     """
     n = a.size
-    row_ab = _toeplitz_product(b, a)
-    row_ba = row_ab if a is b else _toeplitz_product(a, b)
+    row = _toeplitz_product(b, a)
     if c is not None:
-        row_ab = row_ab - c
-        row_ba = row_ab if a is b else row_ba - c
+        row = row - c
     step = _walk_rows(n)
-    uppers = _product_diagonals(a, b, row_ab, step)
-    pairs = (((u, u) for u in uppers) if a is b
-             else zip(uppers, _product_diagonals(b, a, row_ba, step)))
     total = 0.0
-    for d0, (upper, lower) in zip(range(0, n, step), pairs):
-        dots = np.einsum("ij,ij->i", upper, lower)
+    for d0, block in zip(range(0, n, step), _product_diagonals(a, b, row, step)):
+        width, item = block.shape[1], block.itemsize
+        # row k of the block is diagonal d0 + k, zeroed past its width - k
+        # entries; row k of reverse reads it backwards, then earlier rows,
+        # whose entries meet those zeros (finite, as every caller's are)
+        reverse = as_strided(block[0, width - 1 :], block.shape, ((width - 1) * item, -item))
+        dots = np.einsum("ij,ij->i", block, reverse)
         total += 2.0 * float(dots.sum()) - (float(dots[0]) if d0 == 0 else 0.0)
     return total
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -225,14 +226,15 @@ def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
 
     The estimate counts what _contraction_norms runs: the q // 2 distinct
     four-cycle sums and the (q-1)(q-2)/2 complete-graph sums, each at the
-    op count _trace_ops gives.  Returns the estimate.
+    op count _trace_ops gives.  Returns the estimate.  The message formats
+    both ints as Decimals: a float overflows past 1e308, and str() refuses
+    ints of more than 4300 digits.
     """
     q, (cycle_ops, graph_ops) = inst.q, _trace_ops(inst.n)
     est_ops = q // 2 * cycle_ops + (q - 1) * (q - 2) // 2 * graph_ops
     if est_ops > op_budget:
-        raise ResourceGuardError(
-            f"contraction sums need ~{est_ops:.2g} ops > budget {op_budget:.2g}"
-        )
+        raise ResourceGuardError(f"contraction sums need ~{Decimal(est_ops):.2g} ops "
+                                 f"> budget {Decimal(op_budget):.2g}")
     return est_ops
 
 
@@ -273,8 +275,8 @@ def bm_bound_exact(
 ) -> BoundReport:
     """Exact E[(1 - q^{-1}||DZ_n||^2)^2] and the Kolmogorov-distance bound."""
     sig = sigma(inst.H, inst.q)
-    variance = (1.0 - _bm_second_moment(inst, sig)) ** 2
     norms = _contraction_norms(inst, sig, op_budget)
+    variance = (1.0 - _bm_second_moment(inst, sig)) ** 2
     terms = [
         (r, _pair_coeff(inst.q, inst.q, r) * norms[r - 1])
         for r in range(1, inst.q)

@@ -18,7 +18,9 @@ pearson        Sampled density/tau grid, the moments 0-4 (null where the
                moment does not exist) and the log-derivative coefficients
                for a quadratic-tau spec.
 simulate       Monte Carlo Z_n batch, empirical Kolmogorov distance against
-               the standard normal, and the exact bound next to it.
+               the standard normal, and the exact bound next to it.  The
+               bound runs first, so an n over its op budget is refused
+               before any sample is drawn.
 
 Every run writes one CSV data file (fixed column order, floats at 17
 significant digits, byte-identical across reruns of the same config) plus a
@@ -230,8 +232,8 @@ def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples:
     if n < 1:
         raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
     inst = BmInstance(H, q, n)
-    batch = sample_Zn(H, q, n, count, seed)
     report = bm_bound_exact(inst)
+    batch = sample_Zn(H, q, n, count, seed)
     ks = empirical_kolmogorov(batch.values, _normal_cdf)
     header = ["H", "q", "n", "count", "seed",
               "sample_mean", "sample_var", "ks_vs_normal", "kol_bound"]
@@ -328,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+        print(f"error: cannot parse config as JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.out)

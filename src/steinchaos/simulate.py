@@ -26,8 +26,9 @@ records the fallback in SampleBatch.meta["circulant_fallback"]).  A
 numerically singular covariance gets a diagonal jitter of at most 1e-10
 (relative to its diagonal) before the Cholesky factor succeeds;
 meta["cholesky_jitter"] records it, None on the circulant path.  Both
-generators are numpy code; the covariance matrix is the dense builder of
-steinchaos._toeplitz.
+generators are numpy code; the covariance matrix and the circulant's first
+column both come from steinchaos._toeplitz (its dense builder and its
+circulant embedding).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._toeplitz import _toeplitz
+from ._toeplitz import _circulant_column, _toeplitz
 from .breuer_major import BmInstance, rho_values, sigma
 from .chaos import hermite
 from .tensors import _jittered_cholesky
@@ -175,9 +176,7 @@ def _cholesky_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
-    vals = rho_values(H, n)
-    first_row = np.concatenate([vals, vals[-2:0:-1]])
-    lam = np.fft.fft(first_row).real
+    lam = np.fft.fft(_circulant_column(rho_values(H, n))).real
     if lam.min() < -1e-9 * lam.max():
         return None
     return np.clip(lam, 0.0, None)

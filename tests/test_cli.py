@@ -497,3 +497,36 @@ def test_integral_floats_in_kernel_files_read_as_integers(tmp_path):
         assert code == EXIT_OK
         csvs.append((out / "bound.csv").read_bytes())
     assert csvs[0] == csvs[1]
+
+
+# Guards before work: configs that used to exit 1 with a traceback, or that
+# sampled before the op budget refused them, exit 3 or 2 with no file written
+# and no sample drawn.
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [10**200]}},
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 10**30, "count": 10}},
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 3, "n": 1500, "count": 20_000}},
+], ids=["breuer-major-q2-1e200", "simulate-1e30", "simulate-q3-1500"])
+def test_op_budget_refuses_before_any_sample_or_file(tmp_path, capsys, monkeypatch, config):
+    calls = []
+    monkeypatch.setattr(cli, "sample_Zn", lambda *args: calls.append(args))
+    code, out = run_cli(tmp_path, config)
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+    assert calls == []
+    assert list(out.iterdir()) == []
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json.dumps cannot write the integer either, so the config is built as text
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": ['
+                   + "9" * 5000 + "]}}")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot parse config" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinchaos._toeplitz import _complete_graph, _four_cycle, _toeplitz
+from steinchaos import _toeplitz as toeplitz_module
+from steinchaos._toeplitz import (_circulant_column, _complete_graph, _four_cycle, _toeplitz,
+                                  _toeplitz_product, _walk_rows)
 from steinchaos.breuer_major import rho_values
 from steinchaos.cli import _chi2_sequence
 
@@ -74,3 +76,59 @@ def test_four_cycle_walk_matches_longdouble_walk_at_4096():
     c = _chi2_sequence(np.arange(n)) / n
     want = _longdouble_midpoint(c)
     assert abs(_four_cycle(c, c, c) - float(want)) <= 1e-12 * float(want)
+
+
+# One walk per trace: A B - C is centrosymmetric, so diagonal -d is diagonal
+# d reversed and _four_cycle walks the diagonals d >= 0 of A B once.
+
+
+@pytest.mark.parametrize("case", ["a-b", "a-is-b", "with-c"])
+def test_four_cycle_makes_one_walk_and_one_product(monkeypatch, case):
+    n = 300  # several blocks
+    assert _walk_rows(n) < n
+    base = rho_values(0.6, n - 1)
+    args = {"a-b": (base, base**2), "a-is-b": (base, base), "with-c": (base, base, base)}[case]
+    want = _four_cycle(*args)
+    calls = {"_product_diagonals": 0, "_toeplitz_product": 0}
+    for name in calls:
+        original = getattr(toeplitz_module, name)
+
+        def counting(*a, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*a)
+
+        monkeypatch.setattr(toeplitz_module, name, counting)
+    assert _four_cycle(*args) == want
+    assert calls == {"_product_diagonals": 1, "_toeplitz_product": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 128, 129, 300, 1000])
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_four_cycle_of_distinct_factors_matches_dense_trace(n, H):
+    # n <= 128 walks one block, n >= 129 several (1000: a partial last one)
+    base = rho_values(H, n - 1)
+    for a, b in ((base, base**2), (base**2, base), (base, base**3)):
+        product = _toeplitz(a) @ _toeplitz(b)
+        want = np.trace(product @ product)
+        assert _four_cycle(a, b) == pytest.approx(want, rel=1e-12), (n, H)
+
+
+@pytest.mark.parametrize("n", [4096, 44_721])
+def test_toeplitz_product_matches_scipy_on_random_columns(n):
+    # 2n - 1 = 8191 is prime; 44,721 is the largest n the op budget admits
+    from scipy.linalg import matmul_toeplitz
+
+    rng = np.random.default_rng(n)
+    c, x = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    want = matmul_toeplitz((c, c), x)
+    got = _toeplitz_product(c, x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_circulant_column_embeds_the_toeplitz_matrix(m):
+    c = np.random.default_rng(m).uniform(-1.0, 1.0, m + 1)
+    column = _circulant_column(c)
+    assert column.size == 2 * m
+    lags = np.subtract.outer(np.arange(2 * m), np.arange(2 * m)) % (2 * m)
+    np.testing.assert_array_equal(column[lags][: m + 1, : m + 1], _toeplitz(c))
