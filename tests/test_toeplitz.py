@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import matmul_toeplitz
 
 from steinchaos import _toeplitz as toeplitz_module
 from steinchaos._toeplitz import (_circulant_column, _complete_graph, _four_cycle, _toeplitz,
@@ -116,8 +117,6 @@ def test_four_cycle_of_distinct_factors_matches_dense_trace(n, H):
 @pytest.mark.parametrize("n", [4096, 44_721])
 def test_toeplitz_product_matches_scipy_on_random_columns(n):
     # 2n - 1 = 8191 is prime; 44,721 is the largest n the op budget admits
-    from scipy.linalg import matmul_toeplitz
-
     rng = np.random.default_rng(n)
     c, x = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     want = matmul_toeplitz((c, c), x)
