@@ -32,9 +32,10 @@ was found); breuer-major gives the op budget of the contraction sums
 and each row's estimate against it; pearson gives the quadrature panel
 counts (panels taken from the batched Gauss-Kronrod rule, panels handed to
 scalar QUADPACK).
-Each command's parameters (name, kind, default) are one row of the table
-_COMMANDS; run reads them against it before anything runs, so an unknown or
-missing parameter or a value of the wrong kind is a config error.
+Each command's parameters (name, kind, default and, for an integer or a list
+of integers, a lower bound) are one row of the table _COMMANDS; run reads
+them against it before anything runs, so an unknown or missing parameter, a
+value of the wrong kind or an integer below its bound is a config error.
 Exit codes: 0 ok, 2 config parse error, 3 precondition violation, 4 file
 I/O error.
 
@@ -138,15 +139,19 @@ def _value(key: str, kind, value):
 
 
 def _parse(schema: dict, params: dict) -> dict:
-    """params read against a schema {name: (kind, default)}; default None = required."""
+    """params read against a schema {name: (kind, default[, lower])}; default
+    None = required, and lower bounds an int or every entry of a list[int]."""
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ConfigError(f"unknown parameter(s) {unknown}; this command takes {list(schema)}")
     values = {}
-    for key, (kind, default) in schema.items():
+    for key, (kind, default, *lower) in schema.items():
         if key not in params and default is None:
             raise ConfigError(f"missing parameter {key!r}")
         values[key] = _value(key, kind, params.get(key, default))
+        entries = values[key] if kind == list[int] else [values[key]]
+        if lower and min(entries, default=lower[0]) < lower[0]:
+            raise ConfigError(f"parameter {key!r} must be >= {lower[0]}, got {min(entries)}")
     return values
 
 
@@ -161,8 +166,6 @@ def _cmd_kernel_report(kernel: str, metric: str, nu: float | None = None):
 
 
 def _cmd_breuer_major(H: float, q: int, ns: list[int]):
-    if any(n < 1 for n in ns):
-        raise ConfigError("all n must be >= 1")
     rows_dicts = bm_table(H, q, ns)
     header = ["H", "q", "n", "variance_term", "squared_total", "kol_bound", "rate_exponent"]
     rows = [[r[c] for c in header] for r in rows_dicts]
@@ -180,8 +183,6 @@ def _chi2_sequence(r: np.ndarray) -> np.ndarray:
 
 
 def _cmd_chi2_example(ns: list[int], metric: str):
-    if any(n < 1 for n in ns):
-        raise ConfigError("all n must be >= 1")
     for n in ns:
         if _trace_ops(n)[0] > DEFAULT_OP_BUDGET:
             raise BoundError(f"n = {n} walks n^2 diagonal entries, over the op budget "
@@ -198,8 +199,6 @@ def _cmd_chi2_example(ns: list[int], metric: str):
 
 
 def _cmd_pearson(alpha: float, beta: float, gamma: float, a: float, b: float, grid: int):
-    if grid < 1:
-        raise ConfigError(f"parameter 'grid' must be >= 1, got {grid}")
     spec = PearsonSpec(alpha, beta, gamma, a, b)
     density = density_from_tau(spec)
     lo, hi = density.effective_range()
@@ -229,8 +228,6 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples: bool):
-    if n < 1:
-        raise ConfigError(f"parameter 'n' must be >= 1, got {n}")
     inst = BmInstance(H, q, n)
     report = bm_bound_exact(inst)
     batch = sample_Zn(H, q, n, count, seed)
@@ -253,22 +250,24 @@ def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples:
     return header, [row], result
 
 
-# command -> (CSV file, command function, schema {parameter: (kind, default)});
-# a default of None marks a required parameter
+# command -> (CSV file, command function, schema {parameter: (kind, default[,
+# lower])}); a default of None marks a required parameter, and lower is the
+# least value of an int or of every entry of a list[int]
 _KERNEL, _HQ = {"kernel": (str, None)}, {"H": (float, None), "q": (int, None)}
 _COMMANDS = {
     "bound": ("bound.csv", _cmd_kernel_report, {**_KERNEL, "metric": (str, "kolmogorov")}),
     "gamma": ("gamma.csv", _cmd_kernel_report,
               {**_KERNEL, "nu": (float, None), "metric": (str, "h2")}),
     "breuer-major": ("breuer_major.csv", _cmd_breuer_major,
-                     {**_HQ, "ns": (list[int], None)}),
+                     {**_HQ, "ns": (list[int], None, 1)}),
     "chi2-example": ("chi2_example.csv", _cmd_chi2_example,
-                     {"ns": (list[int], [16, 32, 64, 128, 256, 512]), "metric": (str, "h1")}),
+                     {"ns": (list[int], [16, 32, 64, 128, 256, 512], 1),
+                      "metric": (str, "h1")}),
     "pearson": ("pearson.csv", _cmd_pearson,
                 {**{k: (float, None) for k in ("alpha", "beta", "gamma", "a", "b")},
-                 "grid": (int, 401)}),
+                 "grid": (int, 401, 1)}),
     "simulate": ("simulate.csv", _cmd_simulate,
-                 {**_HQ, "n": (int, None), "count": (int, 100_000), "seed": (int, 0),
+                 {**_HQ, "n": (int, None, 1), "count": (int, 100_000), "seed": (int, 0),
                   "dump_samples": (bool, False)}),
 }
 

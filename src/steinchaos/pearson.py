@@ -39,6 +39,12 @@ per array operation; the panels it does not settle are bisected further,
 each bisection one vector call of the weight.  The solution is evaluated
 from the left integral below the origin and from the right integral above
 it, keeping the ratio stable deep in the tails.
+
+Every pointwise function here (densities, every tau, the Stein solution u,
+h - E h) is evaluated by one helper, _pointwise: a float in gives a float
+out, an array keeps its shape, and the points outside (a, b) get 0 or, for
+u, the tail form.  A scalar user callable (a pdf, a tau, a test function h)
+is called over an array by one helper too, _each.
 """
 
 from __future__ import annotations
@@ -121,9 +127,7 @@ class PearsonSpec:
 
     def tau(self, x):
         """tau clamped to 0 outside (a, b) (e.g. 2(x+nu)_+ for the Gamma)."""
-        x = np.asarray(x, dtype=float)
-        out = np.where((x > self.a) & (x < self.b), self.quadratic(x), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return _pointwise(self.quadratic, self.a, self.b)(x)
 
     def exponent_integral(self, x):
         """I(x) = int_0^x y / tau(y) dy in closed form, for x in (a, b)."""
@@ -220,15 +224,34 @@ def _interior_grid(a: float, b: float, count: int) -> np.ndarray:
     return np.linspace(lo + 1e-6 * span, hi - 1e-6 * span, count)
 
 
-def _elementwise(fn: Callable[[float], float]) -> Callable:
-    """fn applied point by point: float in, float out; array in, array out."""
+def _each(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The scalar callable fn called at every point of an array: an array of
+    the same shape."""
 
     def apply(x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.array([fn(v) for v in x_arr.ravel().tolist()], dtype=float)
-        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+        x = np.asarray(x, dtype=float)
+        return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
     return apply
+
+
+def _pointwise(inside, a: float, b: float, outside=None) -> Callable:
+    """The one evaluator of the module's pointwise functions: a float in
+    gives a float out, and an array keeps its shape.  inside maps the 1-d
+    array of the points strictly inside (a, b) to its values there; outside
+    maps the array of the other points, which are 0 when it is None."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        live = (flat > a) & (flat < b)
+        out = np.zeros_like(flat)
+        out[live] = inside(flat[live])
+        if outside is not None:
+            out[~live] = outside(flat[~live])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+    return evaluate
 
 
 def _needs_retry(value, err):
@@ -362,7 +385,7 @@ class DensityModel:
         def fn_weight(x, live):
             fvals = np.zeros_like(x)
             wvals = np.zeros_like(x)
-            fvals[live] = np.array([fn(v) for v in x[live].tolist()], dtype=float) - shift
+            fvals[live] = _each(fn)(x[live]) - shift
             wvals[live] = self._weight(x[live])
             return fvals, wvals
 
@@ -433,7 +456,7 @@ class DensityModel:
         constructor), and strict positivity on an interior sample grid.  The
         model carries tau_from_density(model) as its tau.
         """
-        weight = _elementwise(pdf)
+        weight = _each(pdf)
         if np.any(weight(_interior_grid(a, b, 129)) <= 0.0):
             raise SupportError("density must be strictly positive inside (a, b)")
         model = cls(a, b, weight)
@@ -446,18 +469,11 @@ class DensityModel:
     # ------------------------------------------------------------------
 
     def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x_arr)
-        out = np.zeros_like(flat)
-        inside = (flat > self.a) & (flat < self.b)
-        out[inside] = self._weight(flat[inside]) / self.normalization
-        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+        return _pointwise(lambda xs: self._weight(xs) / self.normalization, self.a, self.b)(x)
 
-    def integrate(self, fn, lo=None, hi=None, points=()) -> float:
-        """int fn(y) p(y) dy over (lo, hi) intersected with the support."""
-        lo = self.a if lo is None else lo
-        hi = self.b if hi is None else hi
-        return float(self._integrate_weight(fn, [lo], [hi], points)[0]) / self.normalization
+    def integrate(self, fn, points=()) -> float:
+        """int fn(y) p(y) dy over the support."""
+        return float(self._integrate_weight(fn, [self.a], [self.b], points)[0]) / self.normalization
 
     def moment(self, k: int) -> float:
         """int x^k p by quadrature.  A divergent integral is not detected: the
@@ -506,7 +522,7 @@ def _anchors(end: float) -> np.ndarray:
 
 
 def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
-    ratio = _elementwise(lambda y: y / tau_fn(y))
+    ratio = _each(lambda y: y / tau_fn(y))
     # I(x) = int_0^x y/tau at the anchors, once: the panels between
     # neighbouring anchors, summed outward from 0 on each side
     left = _anchors(a)
@@ -546,12 +562,8 @@ def _callable_density(tau_fn, a: float, b: float) -> DensityModel:
                 f"{'b' if sign > 0 else 'a'}: int y/tau reached only {nearest:.3g}"
             )
 
-    return DensityModel(
-        a,
-        b,
-        lambda x: np.exp(-exponent(x)) / _elementwise(tau_fn)(x),
-        tau=_elementwise(lambda x: tau_fn(x) if a < x < b else 0.0),
-    )
+    tau = _each(tau_fn)
+    return DensityModel(a, b, lambda x: np.exp(-exponent(x)) / tau(x), tau=_pointwise(tau, a, b))
 
 
 def density_from_tau(
@@ -586,19 +598,17 @@ def tau_from_density(density: DensityModel) -> Callable:
     tiny tail values never come out of a cancellation (DensityModel._one_sided).
     """
 
-    def tau(x):
-        x_arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x_arr)
-        out = np.zeros_like(flat)
-        p = density.pdf(flat)
+    def inside(xs):
+        p = density.pdf(xs)
         # positivity inside the support is validated at construction; an
         # exact zero of p means the tail underflowed, i.e. x is beyond the
         # numerically representable support, and tau is 0 there
-        live = (flat > density.a) & (flat < density.b) & (p > 0.0)
-        out[live] = -density._one_sided(lambda y: y, flat[live]) / p[live]
-        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+        live = p > 0.0
+        out = np.zeros_like(xs)
+        out[live] = -density._one_sided(lambda y: y, xs[live]) / p[live]
+        return out
 
-    return tau
+    return _pointwise(inside, density.a, density.b)
 
 
 @dataclass(frozen=True)
@@ -661,23 +671,21 @@ class SteinSolution:
         return self.density.b
 
     def _centered(self, x):
-        """h - E h; float in, float out; array in, array out."""
-        return _elementwise(self.h)(x) - self.expected_h
+        """h - E h at every point, inside (a, b) or not (+-inf included);
+        float in, float out; array in, array out."""
+        centered = lambda xs: _each(self.h)(xs) - self.expected_h  # noqa: E731
+        return _pointwise(centered, self.a, self.b, centered)(x)
 
     def u(self, x):
         """The unique bounded continuous solution: inside (a, b) the one-sided
         integral of (h - E h) p over tau p, outside (h - E h)/x; x may be an array."""
-        x_arr = np.asarray(x, dtype=float)
-        flat = x_arr.ravel()
-        out = np.empty_like(flat)
-        inside = (flat > self.a) & (flat < self.b)
-        xs = flat[inside]
         density = self.density
-        numerators = density._one_sided(self.h, xs, self.discontinuities, self.expected_h)
-        out[inside] = numerators / (density.tau(xs) * density.pdf(xs))
-        xs = flat[~inside]
-        out[~inside] = self._centered(xs) / xs
-        return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
+
+        def inside(xs):
+            numerators = density._one_sided(self.h, xs, self.discontinuities, self.expected_h)
+            return numerators / (density.tau(xs) * density.pdf(xs))
+
+        return _pointwise(inside, self.a, self.b, lambda xs: self._centered(xs) / xs)(x)
 
     def u_prime(self, x):
         """u'(x) inside (a, b) through the equation from u(x); x may be an array."""
@@ -760,7 +768,7 @@ def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCh
                 np.concatenate([inner, [p - 1e-9 * span, p + 1e-9 * span]])
             )
     u_vals = sol.on_grid(inner)[0]
-    h_vals = np.array([sol.h(x) for x in inner])
+    h_vals = _each(sol.h)(inner)
     xu = inner * u_vals
     tau_du = h_vals - sol.expected_h + xu
     sup_xu = float(np.max(np.abs(xu)))

@@ -363,6 +363,17 @@ def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
     assert slopes[0] == pytest.approx(math.log(bounds[1] / bounds[0]) / math.log(4.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("command, parameters", [
+    ("chi2-example", {"ns": []}),
+    ("breuer-major", {"H": 0.7, "q": 2, "ns": []}),
+], ids=["chi2-example", "breuer-major"])
+def test_empty_ns_writes_an_empty_table(tmp_path, command, parameters):
+    # the lower bound of ns applies to each entry; no entry is no violation
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == EXIT_OK
+    assert len((out / f"{command.replace('-', '_')}.csv").read_text().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "config, extra",
     [
@@ -380,12 +391,14 @@ def test_chi2_example_slope_fits_the_positive_bounds(tmp_path):
           "parameters": {"alpha": 0, "beta": 0, "gamma": 1, "a": "-inf", "b": "inf", "grid": -1}},
          ()),
         ({"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [8, 0]}}, ()),
+        ({"command": "chi2-example", "parameters": {"ns": [0]}}, ()),
         ({"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 0, "count": 100}}, ()),
         ({"command": "gamma", "parameters": {"kernel": "unread.json", "nu": "nan"}}, ()),
     ],
     ids=["parameters-list", "parameters-string", "command-list", "metric-number",
          "misspelled-parameter", "unknown-seed", "seed-flag-without-seed", "dump-samples-string",
-         "negative-grid", "breuer-major-zero-n", "simulate-zero-n", "gamma-nan-nu"],
+         "negative-grid", "breuer-major-zero-n", "chi2-zero-n",
+         "simulate-zero-n", "gamma-nan-nu"],
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, config, extra):
     code, out = run_cli(tmp_path, config, extra=extra)

@@ -850,6 +850,25 @@ def test_u_on_array_matches_scalar(make_density):
     assert isinstance(sol.u(0.5), float)
 
 
+@pytest.mark.parametrize("make_evaluator", [
+    lambda: density_from_tau(gamma_spec(1.0)).pdf,
+    lambda: uniform_spec().tau,
+    lambda: density_from_tau(lambda x: (1.0 - x * x) / 2.0, -1.0, 1.0).tau,
+    lambda: tau_from_density(density_from_tau(gamma_spec(1.0))),
+], ids=["pdf", "spec-tau", "callable-tau", "tau-from-density"])
+def test_pointwise_evaluators_keep_shape_and_match_scalar_calls(make_evaluator):
+    # every support here starts at a = -1: -inf, -1.5 and -1 lie outside it,
+    # and 1.5 lies outside the uniform one
+    f = make_evaluator()
+    xs = np.array([[-math.inf, -1.5, -1.0, -0.3], [0.0, 0.2, 0.8, 1.5]])
+    values = f(xs)
+    assert values.shape == xs.shape
+    np.testing.assert_array_equal(values, [[f(x) for x in row] for row in xs.tolist()])
+    assert type(f(0.2)) is float and f(0.2) > 0.0
+    assert f(-1.5) == 0.0
+    np.testing.assert_array_equal(values[0, :3], 0.0)
+
+
 def test_u_prime_on_array_makes_one_integral_call(monkeypatch):
     sol = stein_solve(density_from_tau(gamma_spec(1.0)), math.tanh)
     calls = []
