@@ -52,6 +52,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,8 @@ def _cmd_chi2_example(ns: list[int], metric: str):
     for n in ns:
         if _trace_ops(n)[0] > DEFAULT_OP_BUDGET:
             raise BoundError(f"n = {n} walks n^2 diagonal entries, over the op budget "
-                             f"{DEFAULT_OP_BUDGET:.2g} (n <= {math.isqrt(DEFAULT_OP_BUDGET)})")
+                             f"{Decimal(DEFAULT_OP_BUDGET):.2g} "
+                             f"(n <= {math.isqrt(DEFAULT_OP_BUDGET)})")
     rows = []
     for n in ns:
         report = _toeplitz_gamma_bound(_chi2_sequence(np.arange(n)) / n, 1.0, metric)

@@ -43,8 +43,8 @@ it, keeping the ratio stable deep in the tails.
 Every pointwise function here (densities, every tau, the Stein solution u,
 h - E h) is evaluated by one helper, _pointwise: a float in gives a float
 out, an array keeps its shape, and the points outside (a, b) get 0 or, for
-u, the tail form.  A scalar user callable (a pdf, a tau, a test function h)
-is called over an array by one helper too, _each.
+u, the tail form (0 at +-inf).  A scalar user callable (a pdf, a tau, a
+test function h) is called over an array by one helper too, _each.
 """
 
 from __future__ import annotations
@@ -678,19 +678,27 @@ class SteinSolution:
 
     def u(self, x):
         """The unique bounded continuous solution: inside (a, b) the one-sided
-        integral of (h - E h) p over tau p, outside (h - E h)/x; x may be an array."""
+        integral of (h - E h) p over tau p, outside (h - E h)/x, and 0 at
+        +-inf, the limit of (h - E h)/x for bounded h, where h is not called;
+        x may be an array."""
         density = self.density
 
         def inside(xs):
             numerators = density._one_sided(self.h, xs, self.discontinuities, self.expected_h)
             return numerators / (density.tau(xs) * density.pdf(xs))
 
-        return _pointwise(inside, self.a, self.b, lambda xs: self._centered(xs) / xs)(x)
+        def outside(xs):
+            out = np.zeros_like(xs)
+            tail = ~np.isinf(xs)
+            out[tail] = self._centered(xs[tail]) / xs[tail]
+            return out
+
+        return _pointwise(inside, self.a, self.b, outside)(x)
 
     def u_prime(self, x):
         """u'(x) inside (a, b) through the equation from u(x); x may be an array."""
         x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr <= self.a) or np.any(x_arr >= self.b):
+        if not ((x_arr > self.a) & (x_arr < self.b)).all():
             raise PearsonError("u' is only defined inside the support")
         out = self._u_prime_from_u(x_arr, self.u(x_arr))
         return float(out) if x_arr.ndim == 0 else out
@@ -711,9 +719,9 @@ class SteinSolution:
         The panels of both sides are integrated in one batch.
         """
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs <= self.a) or np.any(xs >= self.b):
+        if not ((xs > self.a) & (xs < self.b)).all():
             raise PearsonError("grid points must lie inside (a, b)")
-        if np.any(np.diff(xs) <= 0):
+        if not (np.diff(xs) > 0).all():
             raise PearsonError("grid must be strictly increasing")
         nneg = int(np.sum(xs <= 0.0))
         # panel i of the left side is (edges[i], edges[i + 1]) for i < nneg;

@@ -55,10 +55,13 @@ def test_breuer_major_manifest_diagnostics(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    config = {"command": "breuer-major", "parameters": {"H": 0.62, "q": 2, "ns": [4, 16, 64]}}
-    _, out1 = run_cli(tmp_path, config, out="a")
-    _, out2 = run_cli(tmp_path, config, out="b")
-    assert (out1 / "breuer_major.csv").read_bytes() == (out2 / "breuer_major.csv").read_bytes()
+    for H, q, ns in ((0.62, 2, [4, 16, 64]), (0.6, 3, [8, 16])):
+        config = {"command": "breuer-major", "parameters": {"H": H, "q": q, "ns": ns}}
+        runs = [run_cli(tmp_path, config, out=f"q{q}{name}") for name in "ab"]
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+        csvs = [(out / "breuer_major.csv").read_bytes() for _, out in runs]
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == 1 + len(ns)
 
 
 def test_bound_command(tmp_path):
@@ -462,14 +465,20 @@ def test_malformed_kernel_files(tmp_path, capsys, command, text, expected):
 
 
 def test_well_formed_kernel_file_runs_both_commands(tmp_path):
-    path = tmp_path / "kernel.json"
-    path.write_text(json.dumps(_KERNEL_OBJ))
-    for command, extra in (("bound", {}), ("gamma", {"nu": 1.0})):
-        code, out = run_cli(tmp_path, {"command": command,
-                                       "parameters": {"kernel": str(path), **extra}}, out=command)
-        assert code == EXIT_OK
-        header = (out / f"{command}.csv").read_text().splitlines()[0]
-        assert header == "metric,variance_term,squared_total,bound"
+    # the identity Gram matrix, and a correlated one that takes the Cholesky frame
+    correlated = dict(_KERNEL_OBJ, entries=[[[0, 0], 0.5], [[0, 1], 0.3], [[1, 1], 0.5]],
+                      gram=[[1, 0.5], [0.5, 1]])
+    for name, obj in (("identity", _KERNEL_OBJ), ("correlated", correlated)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        for command, extra in (("bound", {}), ("gamma", {"nu": 1.0})):
+            code, out = run_cli(tmp_path, {"command": command,
+                                           "parameters": {"kernel": str(path), **extra}},
+                                out=f"{name}-{command}")
+            assert code == EXIT_OK
+            lines = (out / f"{command}.csv").read_text().splitlines()
+            assert lines[0] == "metric,variance_term,squared_total,bound"
+            assert math.isfinite(float(lines[1].split(",")[3]))
 
 
 def test_dump_samples_false_writes_one_file(tmp_path):

@@ -890,3 +890,32 @@ def test_density_without_tau_carries_tau_from_density():
     np.testing.assert_allclose(d.tau(xs), uniform_spec().tau(xs), rtol=0.0, atol=1e-8)
     chk = stein_bound_check(stein_solve(d, math.tanh), 201)
     assert chk.pass6 and chk.passK
+
+
+@pytest.mark.parametrize("spec", [gaussian_spec(), gamma_spec(1.0)], ids=["normal", "gamma1"])
+def test_u_is_zero_at_infinity_without_calling_h(spec):
+    # u -> 0 at +-inf for bounded h; math.cos raises there, so h must not be
+    # called at +-inf. -2 lies outside the Gamma(1) support (tail form), NaN
+    # stays NaN
+    sol = stein_solve(spec, math.cos)
+    assert sol.u(math.inf) == 0.0 and sol.u(-math.inf) == 0.0
+    assert type(sol.u(math.inf)) is float
+    assert math.isnan(sol.u(math.nan))
+    xs = np.array([[-math.inf, -2.0, -0.5], [0.5, math.inf, math.nan]])
+    u = sol.u(xs)
+    assert u.shape == xs.shape
+    np.testing.assert_array_equal(u, [[sol.u(x) for x in row] for row in xs.tolist()])
+    np.testing.assert_array_equal(u[[0, 1], [0, 1]], 0.0)
+    assert np.isfinite(u[0, 1:]).all() and np.isfinite(u[1, 0]) and np.isnan(u[1, 2])
+    if math.isfinite(sol.a):
+        assert sol.u(-2.0) == (math.cos(-2.0) - sol.expected_h) / -2.0
+
+
+def test_u_prime_and_on_grid_refuse_nan():
+    sol = stein_solve(gamma_spec(1.0), math.tanh)
+    for x in (math.nan, np.array([-0.5, math.nan])):
+        with pytest.raises(PearsonError):
+            sol.u_prime(x)
+    for xs in ([-0.5, math.nan], [math.nan, 0.5], [math.nan]):
+        with pytest.raises(PearsonError):
+            sol.on_grid(np.array(xs))
