@@ -19,7 +19,9 @@ pearson        Sampled density/tau grid, the moments 0-4 (null where the
                for a quadratic-tau spec.
 simulate       Monte Carlo Z_n batch, empirical Kolmogorov distance against
                the standard normal, and the exact bound next to it.  The
-               bound runs first, so an n over its op budget is refused
+               sampler's memory is checked against the physical memory
+               first, then the bound runs, so an n or a count over the
+               memory budget and an n over the op budget are refused
                before any sample is drawn.
 
 Every run writes one CSV data file (fixed column order, floats at 17
@@ -231,6 +233,7 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 def _cmd_simulate(H: float, q: int, n: int, count: int, seed: int, dump_samples: bool):
     inst = BmInstance(H, q, n)
+    simulate._check_memory(n, count, 8)  # sample_Zn's output is one float per draw
     report = bm_bound_exact(inst)
     batch = sample_Zn(H, q, n, count, seed)
     ks = empirical_kolmogorov(batch.values, _normal_cdf)

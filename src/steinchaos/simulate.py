@@ -14,8 +14,21 @@ on the BLAS thread count.  A block yields its rows in pieces: a circulant
 block draws its real parts whole, then runs the imaginary parts (drawn into
 the real parts just consumed), the FFT and the scaling in chunks of
 CHUNK_ROWS draws through one complex buffer.  sample_Zn reduces each piece
-to its Z_n sums as it arrives, so its memory is bounded by the worker count
-times one block, not by the sample count.
+to its Z_n sums as it arrives.
+
+Every call allocates one workspace, in the calling thread: one slot per
+worker that can run at once, min(WORKERS, blocks) slots, none when count is
+0.  A circulant slot holds a block's (BLOCK_ROWS+1)//2 x 2n real parts and
+the CHUNK_ROWS x 2n complex chunk; a Cholesky slot holds a block's
+BLOCK_ROWS x n normals and their product with the factor.  Each block
+borrows a free slot and returns it once its pieces are consumed, so no
+block allocates inside a worker thread, and the slots are freed when the
+call returns.  A call's memory is therefore the formula of _sampler_bytes:
+slots x slot bytes, plus the output (8 count bytes for sample_Zn, 8 count n
+for sample_fbm_increments), plus the generator's own array (the n x n
+Cholesky factor, or the 2n square roots of the circulant eigenvalues).  A
+call whose total exceeds the physical memory (os.sysconf) is refused with
+SimulationError before anything is drawn.
 
 The normalized fBm increment vector is stationary Gaussian with
 autocovariance rho_H; rows are drawn either through a Cholesky factor of
@@ -40,6 +53,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, Iterator
 
 import numpy as np
@@ -182,20 +196,71 @@ def _circulant_eigs(H: float, n: int) -> np.ndarray | None:
     return np.clip(lam, 0.0, None)
 
 
+def _slot_buffers(n: int, circulant: bool) -> tuple[tuple[tuple[int, int], type], ...]:
+    """(shape, dtype) of each buffer of one workspace slot."""
+    if circulant:  # a block's real parts, and the complex chunk
+        return ((((BLOCK_ROWS + 1) // 2, 2 * n), float), ((CHUNK_ROWS, 2 * n), complex))
+    return (((BLOCK_ROWS, n), float),) * 2  # a block's normals, and their product
+
+
+def _slot_count(count: int) -> int:
+    return min(WORKERS, -(-count // BLOCK_ROWS))
+
+
+def _sampler_bytes(n: int, count: int, row_bytes: int, circulant: bool) -> int:
+    """Bytes one sampler call holds at once, output of row_bytes per row.
+
+    The workspace, the output and the generator's own array: the n x n
+    Cholesky factor, or the 2n square roots of the circulant eigenvalues.
+    The Cholesky factorization's transients (a few n x n arrays) are freed
+    before the workspace is allocated and are smaller than one slot below
+    n = 2048.
+    """
+    slot = sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in _slot_buffers(n, circulant))
+    own = 8 * 2 * n if circulant else 8 * n * n
+    return _slot_count(count) * slot + count * row_bytes + own
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(n: int, count: int, row_bytes: int, circulant: bool | None = None) -> None:
+    """Refuse a sampler call whose _sampler_bytes exceed the physical memory.
+
+    circulant None means the generator n alone picks; the budget is not
+    checked where os.sysconf cannot read the physical memory.
+    """
+    if circulant is None:
+        circulant = n >= CIRCULANT_MIN_N
+    need, budget = _sampler_bytes(n, count, row_bytes, circulant), _physical_memory()
+    if budget is not None and need > budget:
+        raise SimulationError(f"sampling needs ~{Decimal(need):.2g} bytes > memory budget "
+                              f"{Decimal(budget):.2g} bytes (the physical memory)")
+
+
 def _fbm_blocks(
-    H: float, n: int, count: int, seed: int
+    H: float, n: int, count: int, seed: int, row_bytes: int
 ) -> tuple[dict, Callable[[int], Iterator[tuple[slice, np.ndarray]]]]:
     """Generator meta and the per-block routine of an increment batch.
 
     pieces(start) draws the block whose first row is start and yields
     (rows, values) pairs: values holds the block rows picked by the slice
     rows, counted from start, and the pieces cover the block's rows up to
-    count once each; values may be a view of a buffer that the next piece
-    overwrites.  The generator is chosen once, from n alone: circulant
-    embedding when n >= CIRCULANT_MIN_N, else Cholesky.  Every row depends
-    only on (seed, row): the Cholesky product is formed at full BLOCK_ROWS
-    shape (BLAS summation order depends on the operand shapes), and the
-    circulant FFT and the scalings act row by row.
+    count once each; values is a view of a workspace buffer that the next
+    piece may overwrite.  The generator is chosen once, from n alone:
+    circulant embedding when n >= CIRCULANT_MIN_N, else Cholesky.  Every row
+    depends only on (seed, row): the Cholesky product is formed at full
+    BLOCK_ROWS shape (BLAS summation order depends on the operand shapes),
+    and the circulant FFT and the scalings act row by row.  A block borrows
+    a workspace slot for as long as its pieces run; the caller's output
+    takes row_bytes per row, and the call's memory is checked against the
+    physical memory before anything is built.
     """
     if not 0.0 < H < 1.0:
         raise SimulationError(f"Hurst index must lie in (0,1), got {H}")
@@ -203,24 +268,24 @@ def _fbm_blocks(
         raise SimulationError("need n >= 1 and count >= 0")
 
     use_circulant = n >= CIRCULANT_MIN_N
+    _check_memory(n, count, row_bytes, use_circulant)
     lam = _circulant_eigs(H, n) if use_circulant else None
     fallback = use_circulant and lam is None
 
     jitter = None
     if lam is not None:
-        m = 2 * n
-        root = np.sqrt(lam)
-        inv_scale = 1.0 / math.sqrt(m)
-        draws = (BLOCK_ROWS + 1) // 2
+        root = np.sqrt(lam, out=lam)
+        inv_scale = 1.0 / math.sqrt(2 * n)
         generator = "circulant-embedding"
 
-        def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+        def draw(slot: tuple[np.ndarray, ...], rng: np.random.Generator,
+                 rows: int) -> Iterator[tuple[slice, np.ndarray]]:
             # the stream holds every real part before any imaginary one; draw
             # d gives block row 2d from its real part and 2d + 1 from its
             # imaginary part
-            real = rng.standard_normal((draws, m))
+            real, chunk = slot
+            rng.standard_normal(out=real)
             needed = (rows + 1) // 2
-            chunk = np.empty((min(CHUNK_ROWS, needed), m), dtype=complex)
             for d0 in range(0, needed, CHUNK_ROWS):
                 d1 = min(d0 + CHUNK_ROWS, needed)
                 z = chunk[: d1 - d0]
@@ -235,18 +300,23 @@ def _fbm_blocks(
                 yield slice(2 * d0 + 1, 2 * d1, 2), y.imag[: min(d1, rows // 2) - d0]
 
     else:
+        if fallback:
+            _check_memory(n, count, row_bytes, False)
         factor, jitter = _cholesky_factor(_toeplitz(rho_values(H, n - 1)))
         generator = "cholesky-toeplitz"
 
-        def draw(rng: np.random.Generator, rows: int) -> Iterator[tuple[slice, np.ndarray]]:
-            # a partial block draws only its rows; the product keeps its full
-            # shape, so each row's sum order does not depend on rows
-            normals = np.zeros((BLOCK_ROWS, n))
+        def draw(slot: tuple[np.ndarray, ...], rng: np.random.Generator,
+                 rows: int) -> Iterator[tuple[slice, np.ndarray]]:
+            # a partial block draws only its rows and zeroes the rest; the
+            # product keeps its full shape, so each row's sum order does not
+            # depend on rows
+            normals, product = slot
             rng.standard_normal(out=normals[:rows])
-            block = normals @ factor.T
+            normals[rows:] = 0.0
+            np.matmul(normals, factor.T, out=product)
             for r0 in range(0, rows, CHUNK_ROWS):
                 r1 = min(r0 + CHUNK_ROWS, rows)
-                yield slice(r0, r1), block[r0:r1]
+                yield slice(r0, r1), product[r0:r1]
 
     meta = {
         "generator": generator,
@@ -256,9 +326,18 @@ def _fbm_blocks(
         "circulant_fallback": fallback,
         "cholesky_jitter": jitter,
     }
+    buffers = _slot_buffers(n, lam is not None)
+    free = [tuple(np.empty(shape, dtype) for shape, dtype in buffers)
+            for _ in range(_slot_count(count))]
 
     def pieces(start: int) -> Iterator[tuple[slice, np.ndarray]]:
-        return draw(_stream(seed, start // BLOCK_ROWS), min(BLOCK_ROWS, count - start))
+        # at most len(free) blocks run at once, so a slot is always free
+        slot = free.pop()
+        try:
+            yield from draw(slot, _stream(seed, start // BLOCK_ROWS),
+                            min(BLOCK_ROWS, count - start))
+        finally:
+            free.append(slot)
 
     return meta, pieces
 
@@ -269,16 +348,14 @@ def _each_block(count: int, work: Callable[[int], None]) -> None:
     BLAS runs at one thread meanwhile: its helper threads would compete with
     the workers for the CPUs, and a threaded GEMM rounds differently.
     """
-    starts = range(0, count, BLOCK_ROWS)
-    workers = max(1, min(WORKERS, len(starts)))
-    with _one_blas_thread, ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(work, starts):
+    with _one_blas_thread, ThreadPoolExecutor(max_workers=max(1, _slot_count(count))) as pool:
+        for _ in pool.map(work, range(0, count, BLOCK_ROWS)):
             pass
 
 
 def sample_fbm_increments(H: float, n: int, count: int, seed: int) -> SampleBatch:
     """count independent rows of {n^H (B_{(k+1)/n} - B_{k/n})}, k < n."""
-    meta, pieces = _fbm_blocks(H, n, count, seed)
+    meta, pieces = _fbm_blocks(H, n, count, seed, 8 * n)
     out = np.empty((count, n))
 
     def fill(start: int) -> None:
@@ -293,7 +370,7 @@ def sample_fbm_increments(H: float, n: int, count: int, seed: int) -> SampleBatc
 def sample_Zn(H: float, q: int, n: int, count: int, seed: int) -> SampleBatch:
     """count draws of Z_n = (1/(sigma sqrt(n))) sum_k H_q(increment_k)."""
     BmInstance(H, q, n)  # validates the (H, q) admissible range
-    meta, pieces = _fbm_blocks(H, n, count, seed)
+    meta, pieces = _fbm_blocks(H, n, count, seed, 8)
     sig = sigma(H, q)
     sums = np.empty(count)
 
@@ -303,9 +380,10 @@ def sample_Zn(H: float, q: int, n: int, count: int, seed: int) -> SampleBatch:
             block[rows] = hermite(q, values).sum(axis=1)
 
     _each_block(count, reduce)
+    sums /= sig * math.sqrt(n)  # in place: the output is the one count-long array
     meta.update({"generator": "breuer-major-Zn", "q": q, "sigma": sig,
                  "increments": meta["generator"]})
-    return SampleBatch(values=sums / (sig * math.sqrt(n)), seed=seed, meta=meta)
+    return SampleBatch(values=sums, seed=seed, meta=meta)
 
 
 def empirical_kolmogorov(samples: np.ndarray, cdf: Callable) -> float:

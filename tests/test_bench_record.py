@@ -102,3 +102,29 @@ def test_main_marks_a_failed_run(tmp_path):
     assert record["all_correct"] is False
     ratio = record["end_to_end"]["bm-rates-mc"]["pass_ratio"]
     assert ratio["change"]["median"] == pytest.approx(1.0 - 0.5 / 50)
+
+
+def test_main_records_unscaled_wall_and_calibration_medians(tmp_path, capsys):
+    # two untraced passes and a traced one, whose calibration is left out
+    def result(seed, wall, calibration):
+        passes = [{"traced": False, "calibration": [calibration, calibration + 0.002]},
+                  {"traced": True, "calibration": [1.0]},
+                  {"traced": False, "calibration": [calibration + 0.001]}]
+        return {**_result("bm-rates-mc", seed, 6.0), "wall_s": wall, "passes": passes}
+
+    args = [
+        f"parent={_run_dir(tmp_path, 'p0', result(0, 5.0, 0.010))}",
+        f"change={_run_dir(tmp_path, 'c0', result(0, 4.0, 0.020))}",
+        f"change={_run_dir(tmp_path, 'c1', result(1, 4.2, 0.022))}",
+        f"parent={_run_dir(tmp_path, 'p1', result(1, 5.4, 0.012))}",
+    ]
+    out = tmp_path / "BENCH_test.json"
+    assert bench_record.main(["--out", str(out), *args]) == 0
+    assert "informational" in capsys.readouterr().out
+    record = json.loads(out.read_text())
+    assert record["runs"][0]["unscaled"] == {"wall_s": 5.0, "calibration_s": 0.011}
+    medians = record["unscaled_medians"]["bm-rates-mc"]
+    assert medians["wall_s"] == pytest.approx({"parent": 5.2, "change": 4.1})
+    assert medians["calibration_s"] == pytest.approx({"parent": 0.012, "change": 0.022})
+    # informational only: the end-to-end comparison is as before
+    assert record["end_to_end"]["bm-rates-mc"]["wall_ref_s"]["ties"] == 2

@@ -530,7 +530,10 @@ def test_integral_floats_in_kernel_files_read_as_integers(tmp_path):
     {"command": "breuer-major", "parameters": {"H": 0.7, "q": 2, "ns": [10**200]}},
     {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 10**30, "count": 10}},
     {"command": "simulate", "parameters": {"H": 0.6, "q": 3, "n": 1500, "count": 20_000}},
-], ids=["breuer-major-q2-1e200", "simulate-1e30", "simulate-q3-1500"])
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 64, "count": 10**13}},
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 2, "n": 64, "count": 10**30}},
+], ids=["breuer-major-q2-1e200", "simulate-1e30", "simulate-q3-1500",
+        "simulate-count-1e13", "simulate-count-1e30"])
 def test_op_budget_refuses_before_any_sample_or_file(tmp_path, capsys, monkeypatch, config):
     calls = []
     monkeypatch.setattr(cli, "sample_Zn", lambda *args: calls.append(args))

@@ -16,6 +16,7 @@ from steinchaos.breuer_major import BmInstance, bm_bound_exact, rho, rho_values,
 from steinchaos.chaos import ChaosVector, hermite, malliavin_inner
 from steinchaos.simulate import (
     BLOCK_ROWS,
+    CHUNK_ROWS,
     CIRCULANT_MIN_N,
     SimulationError,
     chatterjee_weight,
@@ -331,6 +332,93 @@ def test_circulant_zn_memory_bounded_by_workers_times_block(monkeypatch):
     assert _zn_peak(*args) < simulate.WORKERS * 80 * MiB
     monkeypatch.setattr(simulate, "WORKERS", 1)
     assert _zn_peak(*args) < 96 * MiB
+
+
+def _piece_temporaries(q, n):
+    """Traced peak of reducing one piece: hermite's arrays and ufunc buffers.
+
+    A circulant piece is a strided view into the complex chunk.
+    """
+    if n >= CIRCULANT_MIN_N:
+        piece = np.ones((CHUNK_ROWS, 2 * n), dtype=complex)[:, :n].real
+    else:
+        piece = np.ones((CHUNK_ROWS, n))
+    tracemalloc.start()
+    try:
+        hermite(q, piece).sum(axis=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("q, n", ((2, 256), (3, 256), (2, 1100), (3, 1100)))
+def test_memory_model_matches_the_traced_peak(monkeypatch, workers, q, n):
+    # three blocks, the last partial: every slot is used, and reused.  The
+    # workspace, the output and the factor (or the circulant roots) are all
+    # live while the blocks run, so the model is a lower bound; above it
+    # each running block adds one piece's Hermite temporaries, and the pool
+    # a few Python objects
+    monkeypatch.setattr(simulate, "WORKERS", workers)
+    count = 2 * BLOCK_ROWS + 7
+    model = simulate._sampler_bytes(n, count, 8, n >= CIRCULANT_MIN_N)
+    peak = _zn_peak(0.6, q, n, count, 5)
+    assert model <= peak <= model + workers * _piece_temporaries(q, n) + 64 * 1024
+
+
+def test_memory_guard_refuses_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a block was drawn")
+
+    n, count = 300, BLOCK_ROWS + 7
+    need = simulate._sampler_bytes(n, count, 8 * n, False)
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_stream", no_draw)
+        with pytest.raises(SimulationError, match="memory budget"):
+            sample_fbm_increments(0.6, n, count, seed=1)
+    monkeypatch.setattr(simulate, "_physical_memory", lambda: need)
+    assert sample_fbm_increments(0.6, n, count, seed=1).values.shape == (count, n)
+
+
+@pytest.mark.parametrize("count", (10**13, 10**30))
+def test_counts_beyond_physical_memory_are_refused(count):
+    if simulate._physical_memory() is None:
+        pytest.skip("os.sysconf gives no physical memory size here")
+    for sampler in (lambda: sample_Zn(0.6, 2, 64, count, 0),
+                    lambda: sample_fbm_increments(0.6, 64, count, 0)):
+        with pytest.raises(SimulationError, match="memory budget"):
+            sampler()
+
+
+def test_blocks_sharing_the_workspace_keep_the_serial_bits(monkeypatch):
+    # more workers than cores and frequent thread switches: two blocks
+    # sharing one slot would overwrite each other's rows
+    args = (0.6, 2, 64, 9 * BLOCK_ROWS + 3, 21)
+    monkeypatch.setattr(simulate, "WORKERS", 1)
+    serial = sample_Zn(*args).values
+    monkeypatch.setattr(simulate, "WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        values = sample_Zn(*args).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(values, serial)
+
+
+def test_a_block_that_raises_returns_its_slot(monkeypatch):
+    monkeypatch.setattr(simulate, "WORKERS", 1)  # one slot
+    _, pieces = simulate._fbm_blocks(0.6, 64, 2 * BLOCK_ROWS, 3, 8)
+
+    def consume_one_piece():
+        for _ in pieces(0):
+            raise RuntimeError("reduction failed")
+
+    with pytest.raises(RuntimeError, match="reduction failed"):
+        consume_one_piece()
+    rows = [rows for rows, _ in pieces(BLOCK_ROWS)]  # the one slot is free again
+    assert rows[0] == slice(0, CHUNK_ROWS) and len(rows) == BLOCK_ROWS // CHUNK_ROWS
 
 
 def test_empirical_kolmogorov_exact_values():

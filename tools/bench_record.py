@@ -15,8 +15,12 @@ of the median, how many pairs the change won, lost or tied, and the two
 checks of a claimed gain and of a regression: the change wins at least nine
 tenths of the pairs and its median moves by more than the parent's
 interquartile distance; no median worsens by more than the metric's bound.
-Traced runs add every per-layer metric of each run and their medians.  Every
-run keeps its ``machine`` and ``env`` records.  Standard library only.
+Beside that comparison, and gating nothing, each side's median of the
+unscaled pass time ``wall_s`` and of the calibration times (the speed that
+scales ``wall_ref_s``) shows whether a moved ``wall_ref_s`` came from the
+operations or from the calibration.  Traced runs add every per-layer metric
+of each run and their medians.  Every run keeps its ``machine`` and ``env``
+records.  Standard library only.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ def end_to_end(result: dict) -> dict:
     }
 
 
+def unscaled(result: dict) -> dict | None:
+    """The unscaled pass time and the median calibration time of one untraced
+    result file, or None for a file without its passes."""
+    if "passes" not in result:
+        return None
+    return {
+        "wall_s": result["wall_s"],
+        "calibration_s": statistics.median(
+            c for p in result["passes"] if not p["traced"] for c in p["calibration"]),
+    }
+
+
 def load_run(order: int, side: str, directory: Path) -> list[dict]:
     """One record per workload result file found in a run directory."""
     files = sorted(p for p in directory.glob("*.json") if not p.name.endswith(".spans.json"))
@@ -59,6 +75,7 @@ def load_run(order: int, side: str, directory: Path) -> list[dict]:
             "trace": int(traced),
             "correct": result["failed"] == 0 and not result["integrity"],
             "metrics": result["layer_metrics"] if traced else end_to_end(result),
+            "unscaled": None if traced else unscaled(result),
             "machine": result["machine"],
             "env": result["env"],
         })
@@ -112,7 +129,7 @@ def main(argv=None) -> int:
         return [r for r in runs if (r["side"], r["workload"], r["trace"]) == (side, workload, trace)]
 
     workloads = [w["name"] for w in spec["workloads"]]
-    comparisons, layers = {}, {}
+    comparisons, unscaled_medians, layers = {}, {}, {}
     for workload in workloads:
         parent, change = series("parent", workload, 0), series("change", workload, 0)
         if len(parent) >= 2 and len(change) >= 2:
@@ -122,6 +139,12 @@ def main(argv=None) -> int:
                                    m["better"], m["bound"])
                 for m in spec["end_to_end"]
             }
+            if all(r["unscaled"] for r in parent + change):
+                unscaled_medians[workload] = {
+                    name: {side: statistics.median(r["unscaled"][name] for r in side_runs)
+                           for side, side_runs in (("parent", parent), ("change", change))}
+                    for name in ("wall_s", "calibration_s")
+                }
         traced = {side: series(side, workload, 1) for side in SIDES}
         if all(traced.values()):
             names = sorted(traced["parent"][0]["metrics"])
@@ -139,6 +162,7 @@ def main(argv=None) -> int:
                   for r in runs],
         "all_correct": all(r["correct"] for r in runs),
         "end_to_end": comparisons,
+        "unscaled_medians": unscaled_medians,
         "per_layer_medians": layers,
         "runs": runs,
     }
@@ -149,6 +173,10 @@ def main(argv=None) -> int:
                   f"change {c['change']['median']:.4g} ({c['relative_change']:+.1%}) "
                   f"wins {c['change_wins']}/{c['pairs']} gain_rule_met={c['gain_rule_met']} "
                   f"within_bound={c['within_bound']}")
+    for workload, metrics in unscaled_medians.items():
+        for name, medians in metrics.items():
+            print(f"{workload:<14} {name:<12} parent {medians['parent']:.4g} "
+                  f"change {medians['change']:.4g} (unscaled, informational)")
     return 0
 
 
