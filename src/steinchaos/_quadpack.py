@@ -31,26 +31,31 @@ OFLOW = float(np.finfo(float).max)
 
 
 class Rule(NamedTuple):
-    """A Gauss-Kronrod pair as QUADPACK tabulates it.
+    """A Gauss-Kronrod pair as QUADPACK tabulates it, built once by _rule.
 
     xgk holds the Kronrod abscissae in [0, 1), the centre last; wg the Gauss
     weight of each abscissa (0 where it is not a Gauss node); order the
-    sequence in which the rule adds its node pairs.
+    sequence in which the rule adds its node pairs.  nodes are the offsets
+    from the centre in half-lengths: the points below it, the points above
+    it, then the centre.  wgk_floats and wg_floats are the weights as Python
+    floats, for _gauss_kronrod_floats.
     """
 
     xgk: np.ndarray
     wgk: np.ndarray
     wg: np.ndarray
     order: tuple
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Offsets from the centre in half-lengths: the points below it, the
-        points above it, then the centre."""
-        return np.concatenate([-self.xgk[:-1], self.xgk[:-1], self.xgk[-1:]])
+    nodes: np.ndarray
+    wgk_floats: list
+    wg_floats: list
 
 
-DQK21 = Rule(
+def _rule(xgk: np.ndarray, wgk: np.ndarray, wg: np.ndarray, order: tuple) -> Rule:
+    nodes = np.concatenate([-xgk[:-1], xgk[:-1], xgk[-1:]])
+    return Rule(xgk, wgk, wg, order, nodes, wgk.tolist(), wg.tolist())
+
+
+DQK21 = _rule(
     xgk=np.array([
         0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -78,7 +83,7 @@ DQK21 = Rule(
     order=(1, 3, 5, 7, 9, 0, 2, 4, 6, 8),  # the Gauss nodes first
 )
 
-DQK15I = Rule(
+DQK15I = _rule(
     xgk=np.array([
         0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
         0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
@@ -144,7 +149,7 @@ def gauss_kronrod(values: np.ndarray, hlgth: np.ndarray, rule: Rule):
 def _gauss_kronrod_floats(values: np.ndarray, hlgth: np.ndarray, rule: Rule):
     """gauss_kronrod row by row in Python floats, in dqk21's and dqk15i's loops."""
     n = rule.xgk.size - 1
-    wg, wgk = rule.wg.tolist(), rule.wgk.tolist()
+    wg, wgk = rule.wg_floats, rule.wgk_floats
     out = []
     for row, h in zip(values.tolist(), hlgth.tolist()):
         fv1, fv2, fc = row[:n], row[n : 2 * n], row[2 * n]

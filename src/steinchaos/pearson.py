@@ -34,9 +34,11 @@ rule dqk15i on infinite tails), which return what scipy's quad returns on
 the same integrand values.  The exponent integral of a callable tau runs on
 the same port: I at a fixed ladder of anchors toward each end, once, then
 one panel from the anchor nearest each x on its side of the origin.
-The first rule step of all panels of one call runs in numpy, 128 panels
-per array operation; the panels it does not settle are bisected further,
-each bisection one vector call of the weight.  The solution is evaluated
+Each panel is of one kind: plain (x = t), substituted at a finite end or
+a tail.  The first rule step of all panels of one call runs in numpy, 128
+panels of one kind per array operation, each kind through its own
+integrand; the panels it does not settle are bisected further, each
+bisection one vector call of the weight.  The solution is evaluated
 from the left integral below the origin and from the right integral above
 it, keeping the ratio stable deep in the tails.
 
@@ -84,6 +86,9 @@ _ENDPOINT_TOL = 1e-9
 # enough to be reused from the heap (a whole ~1200-panel grid in one pass
 # raised the peak resident memory of a Stein check by ~3 MB)
 _BATCH_PANELS = 128
+# the kinds of DensityModel._panels' panels, the indices of their steps in
+# _batch_qag: x = t, x = e +/- t^2 at a finite end e, and a tail
+_PLAIN, _SUBSTITUTED, _TAIL = range(3)
 
 
 class PearsonError(Exception):
@@ -230,7 +235,7 @@ def _each(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
 
     def apply(x):
         x = np.asarray(x, dtype=float)
-        return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
     return apply
 
@@ -252,6 +257,14 @@ def _pointwise(inside, a: float, b: float, outside=None) -> Callable:
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     return evaluate
+
+
+def _sorted_unique(values) -> np.ndarray:
+    """The distinct values, sorted (np.unique would import numpy.ma)."""
+    values = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def _needs_retry(value, err):
@@ -278,17 +291,18 @@ def _relative_accuracy(run) -> float:
     return value
 
 
-def _batch_qag(step, t0, t1, tail) -> tuple[np.ndarray, int]:
+def _batch_qag(steps, t0, t1, kind) -> tuple[np.ndarray, int]:
     """_relative_accuracy on qag over every panel [t0[i], t1[i]]: (values,
-    number of panels bisected).  step(idx, lo, hi) is the first rule over
-    [lo[k], hi[k]] for panels idx[k], all tails or none, _BATCH_PANELS at a
-    time.  A panel keeps that value where dqagse or dqagie would stop and
-    _relative_accuracy would not rerun; the rest go on in qag, each bisection
-    one step call.  Each value depends on its own panel only."""
+    number of panels bisected).  Panel i is of kind kind[i], and
+    steps[k](idx, lo, hi) is the first rule over [lo[j], hi[j]] for panels
+    idx[j], all of kind k, _BATCH_PANELS at a time.  A panel keeps that value
+    where dqagse or dqagie would stop and _relative_accuracy would not rerun;
+    the rest go on in qag, each bisection one call of their kind's step.
+    Each value depends on its own panel only."""
     out = np.zeros(t0.size)
     refine = []
-    for kind in (False, True):
-        panels = np.flatnonzero(tail == kind)
+    for k, step in enumerate(steps):
+        panels = np.flatnonzero(kind == k)
         for start in range(0, panels.size, _BATCH_PANELS):
             idx = panels[start : start + _BATCH_PANELS]
             first = step(idx, t0[idx], t1[idx])
@@ -300,6 +314,7 @@ def _batch_qag(step, t0, t1, tail) -> tuple[np.ndarray, int]:
 
     for i, first in refine:
         pair = np.array([i, i])
+        step = steps[kind[i]]
         out[i] = _relative_accuracy(
             lambda epsabs: qag(
                 lambda lo, hi: step(pair, lo, hi),
@@ -320,7 +335,7 @@ def quad(fn, los, his) -> np.ndarray:
     array of nodes to its values.  Spec targets never call it."""
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     step = lambda idx, lo, hi: finite_step(fn, lo, hi)  # noqa: E731
-    return _batch_qag(step, los, his, np.zeros(los.size, bool))[0]
+    return _batch_qag((step,), los, his, np.full(los.size, _PLAIN))[0]
 
 
 class DensityModel:
@@ -377,40 +392,44 @@ class DensityModel:
         sub = at_a | at_b
         up = np.isinf(his)
         tail = up | np.isinf(los)
+        kind = np.select([tail, sub], [_TAIL, _SUBSTITUTED], _PLAIN)
         ends = np.select([at_a, at_b, up], [self.a, self.b, los], his)
         signs = np.where(at_a | up, 1.0, -1.0)
         t0 = np.where(sub | tail, 0.0, los)
         t1 = np.select([sub, tail], [np.sqrt(his - los), 1.0], his)
 
-        def fn_weight(x, live):
-            fvals = np.zeros_like(x)
-            wvals = np.zeros_like(x)
-            fvals[live] = _each(fn)(x[live]) - shift
-            wvals[live] = self._weight(x[live])
-            return fvals, wvals
+        def values(x):
+            # fn - shift and the weight at the 1-d array of points x
+            return _each(fn)(x) - shift, self._weight(x)
 
-        def step(idx, lo, hi):
-            # the first rule over [lo[k], hi[k]] in the t of panel idx[k];
-            # the panels are all tails or none
+        def product(x):
+            f, w = values(x.ravel())
+            return (f * w).reshape(x.shape)
+
+        # the first rule over [lo[k], hi[k]] in the t of panel idx[k], for
+        # panels all of one kind
+        def on_plain(idx, lo, hi):
+            return finite_step(product, lo, hi)
+
+        def on_substituted(idx, lo, hi):
             end = ends[idx, None]
             sign = signs[idx, None]
-            if tail[idx[0]]:
 
-                def tail_values(x):
-                    fvals, wvals = fn_weight(x, np.full(x.shape, True))
-                    return fvals * wvals
+            def integrand(t):
+                x = end + sign * t * t
+                # where t^2 underflows next to the end the integrand is 0
+                live = x != end
+                f = np.zeros_like(x)
+                w = np.zeros_like(x)
+                f[live], w[live] = values(x[live])
+                return 2.0 * t * f * w
 
-                return tail_step(tail_values, end, sign, lo, hi)
-            isub = sub[idx, None]
+            return finite_step(integrand, lo, hi)
 
-            def values(t):
-                x = np.where(isub, end + sign * t * t, t)
-                fvals, wvals = fn_weight(x, ~(isub & (x == end)))
-                return np.where(isub, 2.0 * t * fvals * wvals, fvals * wvals)
+        def on_tail(idx, lo, hi):
+            return tail_step(product, ends[idx, None], signs[idx, None], lo, hi)
 
-            return finite_step(values, lo, hi)
-
-        out, refined = _batch_qag(step, t0, t1, tail)
+        out, refined = _batch_qag((on_plain, on_substituted, on_tail), t0, t1, kind)
         self.quad_panels += los.size - refined
         self.quad_fallbacks += refined
         return out
@@ -424,7 +443,7 @@ class DensityModel:
         """
         los = np.maximum(np.asarray(los, dtype=float), self.a)
         his = np.minimum(np.asarray(his, dtype=float), self.b)
-        cuts = np.unique(np.append(np.asarray(points, dtype=float), 0.0))
+        cuts = _sorted_unique(np.append(points, 0.0))
         first = np.searchsorted(cuts, los, side="right")
         inner = np.maximum(np.searchsorted(cuts, his, side="left") - first, 0)
         count = np.where(los < his, inner + 1, 0)
@@ -770,11 +789,11 @@ def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCh
     span = hi - lo
     eps = 1e-5 * span
     inner = np.linspace(lo + eps, hi - eps, grid_size)
-    for p in sol.discontinuities:
-        if lo + eps < p < hi - eps:
-            inner = np.sort(
-                np.concatenate([inner, [p - 1e-9 * span, p + 1e-9 * span]])
-            )
+    # each distinct discontinuity inside the grid, once, with a point on
+    # either side of it
+    jumps = _sorted_unique(sol.discontinuities)
+    jumps = jumps[(lo + eps < jumps) & (jumps < hi - eps)]
+    inner = np.sort(np.concatenate([inner, jumps - 1e-9 * span, jumps + 1e-9 * span]))
     u_vals = sol.on_grid(inner)[0]
     h_vals = _each(sol.h)(inner)
     xu = inner * u_vals

@@ -93,3 +93,20 @@ DensityModel.from_pdf(lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi
         (tmp_path / name).mkdir()
         script += cli_script(tmp_path / name, config)
     assert scipy_modules(script) == {"scipy"}  # the blocking entry only
+
+
+def test_pearson_command_and_stein_check_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma (several ms); the quadrature needs neither
+    script = cli_script(tmp_path, command_configs(tmp_path)["pearson"]) + """
+import math, sys
+from steinchaos.pearson import gaussian_spec, stein_bound_check, stein_solve
+step = lambda x: 1.0 if x <= 0.5 else 0.0
+assert stein_bound_check(stein_solve(gaussian_spec(), step, (0.5,)), 101).passK
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import json\n" + script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) is False

@@ -919,3 +919,64 @@ def test_u_prime_and_on_grid_refuse_nan():
     for xs in ([-0.5, math.nan], [math.nan, 0.5], [math.nan]):
         with pytest.raises(PearsonError):
             sol.on_grid(np.array(xs))
+
+
+@pytest.mark.parametrize("discontinuities", [(0.5, 0.5), (0.0, -0.0)], ids=["twice", "signed-zero"])
+def test_stein_bound_check_takes_a_discontinuity_listed_twice(discontinuities):
+    # the check's grid holds each distinct point once, as the integrals do
+    step = lambda x: 1.0 if x <= 0.5 else 0.0  # noqa: E731
+    once = stein_bound_check(stein_solve(gaussian_spec(), step, discontinuities[:1]))
+    twice = stein_bound_check(stein_solve(gaussian_spec(), step, discontinuities))
+    assert twice == once
+
+
+def _panel_mix(rng, a, b):
+    """Plain panels inside (a, b) and every panel kind the support has, in
+    one shuffled list: (los, his)."""
+    lo = rng.uniform(-0.9, 0.6, 150)
+    panels = list(zip(lo.tolist(), (lo + 10.0 ** rng.uniform(-3.0, -0.5, lo.size)).tolist()))
+    near = 10.0 ** rng.uniform(-6.0, -0.5, 20)
+    if math.isfinite(a):
+        panels += [(a, a + d) for d in near.tolist()]  # x = a + t^2
+        panels += [(b - d, b) for d in near.tolist()]  # x = b - t^2
+    else:
+        panels += [(-math.inf, -d) for d in near.tolist()]
+        panels += [(d, math.inf) for d in near.tolist()]
+    order = rng.permutation(len(panels))
+    los, his = np.array(panels)[order].T
+    return los, his
+
+
+@pytest.mark.parametrize("spec", [uniform_spec(), gaussian_spec()], ids=["uniform", "normal"])
+def test_panels_of_a_mix_of_kinds_match_one_panel_per_call(spec):
+    # each value depends on its own panel only: batching by kind, 128 at a
+    # time, gives the bits of the same panel integrated alone
+    d = density_from_tau(spec)
+    los, his = _panel_mix(np.random.default_rng(30), d.a, d.b)
+    fn = lambda x: math.cos(40.0 * x) + 0.3  # noqa: E731
+    before = d.quad_fallbacks
+    batched = d._panels(fn, los, his, shift=0.1)
+    assert d.quad_fallbacks > before  # some panels go on to bisection
+    alone = [d._panels(fn, [lo], [hi], shift=0.1)[0] for lo, hi in zip(los, his)]
+    np.testing.assert_array_equal(batched, alone)
+
+
+def test_substituted_panels_never_call_the_weight_at_the_end():
+    # next to a = -1 the nodes of [a, a + 1e-30] all round to x == a, where
+    # the Gamma(1) weight is infinite: they add 0, and the weight (called
+    # with 1-d arrays) never sees a
+    d = density_from_tau(gamma_spec(1.0))
+    a, weight, seen = d.a, d._weight, []
+
+    def recording(x):
+        seen.append(x.copy())
+        return weight(x)
+
+    d._weight = recording
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = d._panels(math.cos, [a, a], [a + 1e-30, a + 1e-3])
+    assert seen and all(x.ndim == 1 and (x != a).all() for x in seen)
+    assert values[0] == 0.0
+    substituted = lambda t: 2.0 * t * math.cos(a + t * t) * weight(np.array([a + t * t]))[0]  # noqa: E731
+    assert values[1] == pytest.approx(_quad_rel(substituted, 0.0, math.sqrt(1e-3)), rel=1e-12)
