@@ -82,10 +82,12 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 _ENDPOINT_TOL = 1e-9
-# panels per numpy pass: 128 x 21 points keep every temporary array small
-# enough to be reused from the heap (a whole ~1200-panel grid in one pass
-# raised the peak resident memory of a Stein check by ~3 MB)
-_BATCH_PANELS = 128
+# panels per numpy pass: 512 x 21 points.  A larger batch makes fewer numpy
+# passes per Stein check; 512 is the largest of 256, 384 and 512 that kept
+# the chi2-oracles benchmark's peak resident memory median where 128 had it
+# (54.19 MB both, five alternating pairs), while a whole ~1200-panel grid in
+# one pass raised a Stein check's by ~3 MB
+_BATCH_PANELS = 512
 # the kinds of DensityModel._panels' panels, the indices of their steps in
 # _batch_qag: x = t, x = e +/- t^2 at a finite end e, and a tail
 _PLAIN, _SUBSTITUTED, _TAIL = range(3)
@@ -392,11 +394,11 @@ class DensityModel:
         sub = at_a | at_b
         up = np.isinf(his)
         tail = up | np.isinf(los)
-        kind = np.select([tail, sub], [_TAIL, _SUBSTITUTED], _PLAIN)
-        ends = np.select([at_a, at_b, up], [self.a, self.b, los], his)
+        kind = np.where(tail, _TAIL, np.where(sub, _SUBSTITUTED, _PLAIN))
+        ends = np.where(at_a, self.a, np.where(at_b, self.b, np.where(up, los, his)))
         signs = np.where(at_a | up, 1.0, -1.0)
         t0 = np.where(sub | tail, 0.0, los)
-        t1 = np.select([sub, tail], [np.sqrt(his - los), 1.0], his)
+        t1 = np.where(sub, np.sqrt(his - los), np.where(tail, 1.0, his))
 
         def values(x):
             # fn - shift and the weight at the 1-d array of points x

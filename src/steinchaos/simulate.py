@@ -61,7 +61,7 @@ import numpy as np
 from ._toeplitz import _circulant_column, _toeplitz
 from .breuer_major import BmInstance, rho_values, sigma
 from .chaos import hermite
-from .tensors import _jittered_cholesky
+from .tensors import _jittered_cholesky, _physical_memory
 
 __all__ = [
     "SimulationError",
@@ -220,14 +220,6 @@ def _sampler_bytes(n: int, count: int, row_bytes: int, circulant: bool) -> int:
                for shape, dtype in _slot_buffers(n, circulant))
     own = 8 * 2 * n if circulant else 8 * n * n
     return _slot_count(count) * slot + count * row_bytes + own
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _check_memory(n: int, count: int, row_bytes: int, circulant: bool | None = None) -> None:

@@ -12,7 +12,9 @@ directly.  The sorted-multi-index form is derived from it on demand
 coefficient of the *symmetrized* basis tensor, which is the sum of the array
 over all distinct orderings of J.  That form is the JSON exchange format and
 drives Hermite evaluation; the dict constructor of ``SymKernel`` reads it.
-Dense storage costs d^q floats, which stays small while orders do (q <= ~6).
+Dense storage costs d^q floats, which stays small while orders do (q <= ~6);
+``contract`` refuses a contraction whose d^(p+q-2r) output, with the two
+working arrays of symmetrizing it, would not fit in the physical memory.
 
 G enters in two places.  The public ``contract``, ``gram_inner`` and
 ``raw_norm_sq`` apply G to every paired axis, so they keep the Gram-metric
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from decimal import Decimal
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -95,6 +99,20 @@ def _integer(value, what: str) -> int:
     if arr.ndim:
         raise TensorError(f"{what} must be a single integer")
     return int(arr)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _contraction_bytes(dim: int, p: int, q: int, r: int) -> int:
+    """Bytes of the order p + q - 2r array of a contraction and of the two
+    working arrays of its size that ``symmetrize`` holds: 3 x 8 d^(p+q-2r)."""
+    return 24 * dim ** (p + q - 2 * r)
 
 
 def _orderings(index: np.ndarray) -> np.ndarray:
@@ -419,14 +437,16 @@ def symmetrize(space: GramSpace, raw: np.ndarray) -> SymKernel:
 
     Uses the coset recursion S_k = (1/k) sum_i (i, k-1) S_{k-1}: once the
     first k-1 axes are symmetric, averaging the k-th axis into each position
-    finishes the job in O(q^2) transposes instead of q!.
+    finishes the job in O(q^2) transposes instead of q!.  Beside raw it
+    holds two arrays of raw's size at a time.
     """
     sym = np.array(raw, dtype=float)
     for k in range(2, sym.ndim + 1):
         acc = sym.copy()
         for i in range(k - 1):
             acc += np.swapaxes(sym, i, k - 1)
-        sym = acc / k
+        acc /= k
+        sym = acc
     return SymKernel._wrap(space, sym)
 
 
@@ -465,13 +485,21 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> np.ndarray:
 
     Returns the raw (generally non-symmetric) dense tensor of order
     p + q - 2r; a plain float for full contractions.  r = 0 is the tensor
-    product; r = p = q is the scalar inner product.
+    product; r = p = q is the scalar inner product.  A contraction whose
+    _contraction_bytes exceed the physical memory is refused with
+    TensorError before any array is formed.
     """
     _check_same_space(f, g)
     if r < 0 or r > min(f.order, g.order):
         raise InvalidContractionError(
             f"contraction index {r} outside [0, {min(f.order, g.order)}]"
         )
+    need = _contraction_bytes(f.space.dim, f.order, g.order, r)
+    budget = _physical_memory()
+    if budget is not None and need > budget:
+        raise TensorError(f"contraction {f.order} x_{r} {g.order} at d = {f.space.dim} needs "
+                          f"~{Decimal(need):.2g} bytes > memory budget "
+                          f"{Decimal(budget):.2g} bytes (the physical memory)")
     a = f.to_dense()
     b = g.to_dense()
     if r == 0:

@@ -165,12 +165,22 @@ def _array_mul(
     e1: np.ndarray, c1: np.ndarray, e2: np.ndarray, c2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product of two polynomials in exponent-array form, equal monomials
-    merged and exact zeros dropped."""
+    merged and exact zeros dropped.
+
+    The merged monomials come out in lexicographic order (first exponent
+    first), as np.unique(axis=0) gives them, and bincount adds each one's
+    products in input order; one lexsort over the exponent columns finds
+    them, without np.unique's per-row structured-dtype sort.
+    """
     exps = (e1[:, None, :] + e2[None, :, :]).reshape(-1, e1.shape[1])
-    unique, inverse = np.unique(exps, axis=0, return_inverse=True)
-    coefs = np.bincount(
-        inverse.reshape(-1), weights=np.outer(c1, c2).reshape(-1), minlength=len(unique)
-    )
+    order = np.lexsort(exps.T[::-1])  # lexsort's last key is its primary one
+    ordered = exps[order]
+    new = np.ones(len(order), dtype=bool)  # a row unlike the one before it
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    unique = ordered[new]
+    coefs = np.bincount(inverse, weights=np.outer(c1, c2).reshape(-1), minlength=len(unique))
     keep = coefs != 0.0
     return unique[keep], coefs[keep]
 

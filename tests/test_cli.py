@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from steinchaos import bounds, cli, simulate
+from steinchaos import bounds, cli, simulate, tensors
 from steinchaos._toeplitz import _trace_ops
 from steinchaos.breuer_major import DEFAULT_OP_BUDGET
 from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, _normal_cdf, main
@@ -542,6 +542,26 @@ def test_op_budget_refuses_before_any_sample_or_file(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
     assert calls == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("dim", [40, 64])
+@pytest.mark.parametrize("command", ["bound", "gamma"])
+def test_contraction_over_memory_exits_3_before_any_file(tmp_path, capsys, command, dim):
+    # one entry, but f x_1 f of an order-4 kernel holds d^6 floats: 30.5 GiB
+    # at d = 40, 512 GiB at d = 64
+    need = tensors._contraction_bytes(dim, 4, 4, 1)
+    budget = tensors._physical_memory()
+    if budget is None or budget >= need:
+        pytest.skip("the contraction fits in this machine's physical memory")
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"dim": dim, "order": 4, "entries": [[[0, 0, 0, 0], 1.0]],
+                                "gram": np.eye(dim).tolist()}))
+    parameters = {"kernel": str(path), "nu": 1.0} if command == "gamma" else {"kernel": str(path)}
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "memory budget" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gram, random_kernel, rank_two_gram
+from steinchaos import tensors
 from steinchaos.tensors import (
     MAX_JITTER,
     GramSpace,
@@ -502,3 +504,43 @@ def test_orthonormal_frame_of_identity_space_is_the_kernel():
     f = random_kernel(space, 3, np.random.default_rng(32))
     assert _orthonormal(f) is f
     assert space.cholesky_jitter is None
+
+
+# ----------------------------------------------------------------------
+# the contraction memory guard
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_contraction_guard_refuses_before_work(monkeypatch, r):
+    def no_work(*args):
+        raise AssertionError("the contraction ran")
+
+    rng = np.random.default_rng(11)
+    space = random_gram(3, rng)  # a correlated space: the metric is applied first
+    f, g = random_kernel(space, 2, rng), random_kernel(space, 3, rng)
+    need = tensors._contraction_bytes(3, 2, 3, r)
+    monkeypatch.setattr(tensors, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        m.setattr(tensors, "_apply_gram", no_work)  # the first work of r >= 1
+        with pytest.raises(TensorError, match="memory budget"):
+            contract(f, g, r)
+    monkeypatch.setattr(tensors, "_physical_memory", lambda: need)
+    assert contract(f, g, r).shape == (3,) * (5 - 2 * r)
+
+
+@pytest.mark.parametrize("d, q, r", [(12, 3, 1), (9, 4, 1), (10, 4, 2), (6, 2, 0)])
+def test_contraction_bytes_model_a_symmetrized_contraction(d, q, r):
+    # the contraction and symmetrize's two working arrays, plus the copies
+    # of the operands tensordot makes and a few small arrays
+    rng = np.random.default_rng(d)
+    space = random_gram(d, rng)
+    f = random_kernel(space, q, rng)
+    tracemalloc.start()
+    try:
+        symmetrize(space, contract(f, f, r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = tensors._contraction_bytes(d, q, q, r)
+    assert need <= peak <= need + 2 * f.to_dense().nbytes + 128 * 1024
