@@ -530,7 +530,7 @@ def test_contraction_guard_refuses_before_work(monkeypatch, r):
 
 
 @pytest.mark.parametrize("d, q, r", [(12, 3, 1), (9, 4, 1), (10, 4, 2), (6, 2, 0)])
-def test_contraction_bytes_model_a_symmetrized_contraction(d, q, r):
+def test_contraction_bytes_models_a_symmetrized_contraction(d, q, r):
     # the contraction and symmetrize's two working arrays, plus the copies
     # of the operands tensordot makes and a few small arrays
     rng = np.random.default_rng(d)
