@@ -179,10 +179,10 @@ def _metric_constant(metric: str, nu: float | None = None) -> tuple[str, float]:
 
 
 def _check_nu(*nus: float) -> None:
-    """BoundError unless every nu is a finite positive number: not NaN, inf or <= 0."""
+    """BoundError unless every nu is a finite positive number with 2/nu^2 finite."""
     for nu in nus:
-        if not 0.0 < nu < math.inf:
-            raise BoundError(f"nu must be a finite positive number, got {nu}")
+        if not (0.0 < nu and 0.0 < nu * nu < math.inf and 2.0 / (nu * nu) < math.inf):
+            raise BoundError(f"nu must be a finite positive number with 2/nu^2 finite, got {nu}")
 
 
 def _pair_coeff(p: int, q: int, r: int) -> int:

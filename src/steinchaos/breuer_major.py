@@ -145,12 +145,11 @@ def _rho_tail(H: float, q: int, horizon: int) -> float:
     rho_H(t) = A t^{2H-2} (1 + c1 t^{-2} + c2 t^{-4} + O(t^{-6})) with
     A = H(2H-1), c1 = (2H-2)(2H-3)/12, c2 = (2H-2)(2H-3)(2H-4)(2H-5)/360,
     so the tail is a combination of Hurwitz zeta values at s, s+2, s+4 with
-    s = q(2-2H) > 1.  The neglected term is O(horizon^{1-s-6}).
+    s = q(2-2H) > 1; at H = 1/2, A = 0 makes the tail 0.0.  The neglected
+    term is O(horizon^{1-s-6}).
     """
     a = 2.0 * H
     amp = 0.5 * a * (a - 1.0)
-    if amp == 0.0:
-        return 0.0
     s = q * (2.0 - a)
     c1 = (a - 2.0) * (a - 3.0) / 12.0
     c2 = (a - 2.0) * (a - 3.0) * (a - 4.0) * (a - 5.0) / 360.0
@@ -274,6 +273,7 @@ def bm_bound_exact(
     inst: BmInstance, *, op_budget: int = DEFAULT_OP_BUDGET
 ) -> BoundReport:
     """Exact E[(1 - q^{-1}||DZ_n||^2)^2] and the Kolmogorov-distance bound."""
+    _check_op_budget(inst, op_budget)  # before sigma, whose q! overflows a float at large q
     sig = sigma(inst.H, inst.q)
     norms = _contraction_norms(inst, sig, op_budget)
     variance = (1.0 - _bm_second_moment(inst, sig)) ** 2

@@ -73,29 +73,18 @@ class ComplexityError(ChaosError):
 
 
 def _monic_hermite_values(q: int, x: np.ndarray) -> np.ndarray:
-    """He_q(x) by the stable three-term recurrence (vectorized).
-
-    x is only read.  He_{k+1} = x He_k - k He_{k-1} is formed in at most
-    three reused arrays of x's shape, the returned one always new.
-    """
+    """He_q(x) by the recurrence He_{k+1} = x He_k - k He_{k-1}, vectorized.
+    x is only read, and the result is always new (a copy at q = 1), as
+    ``hermite`` divides it in place."""
     x = np.asarray(x, dtype=float)
     if q == 0:
         return np.ones_like(x)
     if q == 1:
         return x.copy()
-    xs = np.atleast_1d(x)  # in-place updates need arrays, also for a 0-d x
-    prev, cur = xs, xs * xs
-    cur -= 1.0  # He_2 = x He_1 - 1 He_0
-    spare = None
-    for k in range(2, q):
-        if prev is xs:
-            prev = k * xs
-        else:
-            prev *= k
-        spare = np.multiply(xs, cur, out=spare)
-        spare -= prev
-        prev, cur, spare = cur, spare, prev
-    return cur.reshape(x.shape)
+    prev, cur = 1.0, x
+    for k in range(1, q):
+        prev, cur = cur, x * cur - k * prev
+    return cur
 
 
 def hermite(q: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -122,8 +122,7 @@ class PearsonSpec:
     def __post_init__(self):
         if not self.a < 0.0 < self.b:
             raise PearsonError(f"support must satisfy a < 0 < b, got ({self.a}, {self.b})")
-        grid = _interior_grid(self.a, self.b, 257)
-        vals = self.quadratic(grid)
+        vals = self.quadratic(np.append(_interior_grid(self.a, self.b, 257), 0.0))  # 0 in (a, b)
         if np.any(vals <= 0.0):
             raise SupportError("tau must be strictly positive inside (a, b)")
 
@@ -526,7 +525,10 @@ def _spec_density(spec: PearsonSpec) -> DensityModel:
     spec.check_explosion()
 
     def weight(x: np.ndarray) -> np.ndarray:
-        return np.exp(-spec.exponent_integral(x)) / spec.quadratic(x)
+        try:
+            return np.exp(-spec.exponent_integral(x)) / spec.quadratic(x)
+        except ArithmeticError as exc:  # a power or quotient of the float coefficients
+            raise PearsonError(f"the closed-form weight of {spec} overflows: {exc}") from None
 
     return DensityModel(spec.a, spec.b, weight, tau=spec.tau)
 
@@ -781,11 +783,11 @@ class SteinBoundCheck(NamedTuple):
 def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCheck:
     """Grid suprema of |x u| and |tau u'| against the 6 sup|h| and K sup|h| bounds.
 
-    u comes from sol.on_grid, and tau u' is read from the Stein equation,
-    tau u' = h - E h + x u, so tau is never evaluated.  K = 2 max{3, 1/|a|,
-    1/|b|} with 1/inf = 0; the supremum for the K check runs over the whole
-    line, where outside the support the tail form u = (h - E h)/x gives
-    x u = h - E h.
+    u comes from sol.on_grid (which evaluates tau), and tau u' is read from
+    the Stein equation, tau u' = h - E h + x u, not formed as tau times u'.
+    K = 2 max{3, 1/|a|, 1/|b|} with 1/inf = 0; the supremum for the K check
+    runs over the whole line, where outside the support the tail form
+    u = (h - E h)/x gives x u = h - E h.
     """
     lo, hi = sol.density.effective_range()
     span = hi - lo

@@ -85,7 +85,7 @@ def _integral(values, what: str) -> np.ndarray:
     (an integral float such as 1.0 reads as 1, 2.5 is refused)."""
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
         raise TensorError(f"{what} must be numeric: {exc}") from None
     exact = (np.abs(arr) < 2.0**53) & (arr == np.trunc(arr))  # False for NaN and inf
     if not exact.all():
@@ -485,9 +485,9 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> np.ndarray:
 
     Returns the raw (generally non-symmetric) dense tensor of order
     p + q - 2r; a plain float for full contractions.  r = 0 is the tensor
-    product; r = p = q is the scalar inner product.  A contraction whose
-    _contraction_bytes exceed the physical memory is refused with
-    TensorError before any array is formed.
+    product (a tensordot pairing no axes), r = p = q the inner product.  A
+    contraction whose _contraction_bytes exceed the physical memory is
+    refused with TensorError before any array is formed.
     """
     _check_same_space(f, g)
     if r < 0 or r > min(f.order, g.order):
@@ -500,17 +500,9 @@ def contract(f: SymKernel, g: SymKernel, r: int) -> np.ndarray:
         raise TensorError(f"contraction {f.order} x_{r} {g.order} at d = {f.space.dim} needs "
                           f"~{Decimal(need):.2g} bytes > memory budget "
                           f"{Decimal(budget):.2g} bytes (the physical memory)")
-    a = f.to_dense()
-    b = g.to_dense()
-    if r == 0:
-        out = np.multiply.outer(a, b)
-    else:
-        a_metric = _apply_gram(f.space, a, r)
-        out = np.tensordot(a_metric, b, axes=(list(range(f.order - r, f.order)),
-                                              list(range(g.order - r, g.order))))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.tensordot(_apply_gram(f.space, f.to_dense(), r), g.to_dense(),
+                       axes=(list(range(f.order - r, f.order)), list(range(g.order - r, g.order))))
+    return float(out) if out.ndim == 0 else out
 
 
 def gram_inner(f: SymKernel, g: SymKernel) -> float:

@@ -201,6 +201,8 @@ def poly_power_expectation(p: Poly, s: int) -> float:
     if not p:
         return 0.0
     nvars = len(next(iter(p)))
+    if not nvars:  # a constant c: E[c^s] = c^s
+        return float(p[()]) ** s
     exps = np.array(list(p), dtype=np.int64).reshape(len(p), nvars)
     coefs = np.fromiter(p.values(), dtype=float, count=len(p))
     a, b = s // 2, s - s // 2

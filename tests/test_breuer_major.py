@@ -328,3 +328,13 @@ def test_sigma_sums_once_per_pair(monkeypatch):
     for _ in range(2):
         with pytest.raises(DivergenceError):
             sigma(0.9, 3)
+
+
+def test_sigma_at_half_is_pinned():
+    # rho_{1/2}(t) = 0 for t != 0, so the tail is 0.0 times finite Hurwitz
+    # zeta values and sigma(1/2, q) = sqrt(1/q!); values of the code that
+    # returned the zero tail outright
+    assert [breuer_major._rho_tail(0.5, q, 1000) for q in range(2, 7)] == [0.0] * 5
+    assert [sigma(0.5, q) for q in range(2, 7)] == [
+        0.7071067811865476, 0.408248290463863, 0.2041241452319315, 0.09128709291752768,
+        0.037267799624996496]

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import derivative_norm_poly, random_gram, random_kernel
-from steinchaos import wick
+from steinchaos import chaos, wick
 from steinchaos.chaos import (
     ChaosError,
     ChaosVector,
@@ -78,6 +78,50 @@ def test_hermite_in_place_recurrence_is_bit_identical():
             got = hermite(q, x)
             assert np.array_equal(got, expected)
             assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(x, before)  # the input is only read
+
+
+def _three_buffer_monic_hermite(q, x):
+    """Deliberate oracle for chaos._monic_hermite_values: its earlier body,
+    He_{k+1} = x He_k - k He_{k-1} formed in place in three reused arrays.
+    The library runs the plain recurrence; both do the same floating-point
+    operations in the same order, so they must agree byte for byte."""
+    x = np.asarray(x, dtype=float)
+    if q == 0:
+        return np.ones_like(x)
+    if q == 1:
+        return x.copy()
+    xs = np.atleast_1d(x)
+    prev, cur = xs, xs * xs
+    cur -= 1.0
+    spare = None
+    for k in range(2, q):
+        if prev is xs:
+            prev = k * xs
+        else:
+            prev *= k
+        spare = np.multiply(xs, cur, out=spare)
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
+    return cur.reshape(x.shape)
+
+
+def test_plain_hermite_recurrence_matches_the_three_buffer_oracle():
+    rng = np.random.default_rng(32)
+    pieces = np.empty((64, 2048), dtype=complex)
+    pieces.real, pieces.imag = rng.normal(size=(2, 64, 2048))
+    strided = pieces.real  # a view with a 16-byte stride, as the sampler's pieces
+    assert not strided.flags.c_contiguous
+    inputs = [1.7, np.array(-0.4), strided, 3 * rng.normal(size=(64, 256)),
+              rng.normal(size=(4096, 256))]
+    for x in inputs:
+        before = np.array(x, copy=True)
+        for q in range(9):
+            got = chaos._monic_hermite_values(q, x)
+            want = _three_buffer_monic_hermite(q, x)
+            assert np.shape(got) == np.shape(want) == np.shape(x)
+            assert np.asarray(got).tobytes() == want.tobytes()
+            assert got is not x and not np.shares_memory(got, x)
         assert np.array_equal(x, before)  # the input is only read
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from steinchaos import bounds, cli, simulate, tensors
@@ -575,3 +581,194 @@ def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot parse config" in err and "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# schema-driven fuzz of main: every row of cli._COMMANDS at and past its limits
+# ----------------------------------------------------------------------
+
+_HUGE = "<5000 digits>"  # json.dumps refuses such an int, so _config_text writes it
+_PAST_LIMITS = [0, -1, 10**30, 10**400, _HUGE, math.nan, "inf", "x", None, True, [], {}]
+_FLOATS = [0.5, 0.6, 0.75, 0.9, 1.0, 2.0, -0.5, -1.0, 1e-300, 1e300, "inf", "-inf", "0.6"]
+_METRICS = ["kolmogorov", "tv", "wasserstein", "h1", "h2", "bogus", ""]
+_KERNEL_FILE, _MISSING_FILE = "<kernel file>", "<missing file>"
+# one small config that runs, per command: the values the fuzz starts from
+_RUNS = {"bound": {"kernel": _KERNEL_FILE, "metric": "kolmogorov"},
+         "gamma": {"kernel": _KERNEL_FILE, "nu": 1.0, "metric": "h2"},
+         "breuer-major": {"H": 0.6, "q": 2, "ns": [4, 8]},
+         "chi2-example": {"ns": [4, 8], "metric": "h1"},
+         "pearson": {"alpha": 0.0, "beta": 0.0, "gamma": 1.0, "a": "-inf", "b": "inf", "grid": 11},
+         "simulate": {"H": 0.6, "q": 2, "n": 8, "count": 200, "seed": 0, "dump_samples": False}}
+# (dim, order) of kernel files: small ones, and d^q arrays that the kernel
+# guard refuses (2^70, 3^40) or whose first contraction the memory guard
+# refuses (48^6 entries, ~290 GB), the latter only where it does
+_KERNEL_SHAPES = [(1, 1), (2, 2), (3, 3), (2, 4), (2, 70), (3, 40)]
+_BUDGET = tensors._physical_memory()
+if _BUDGET is not None and tensors._contraction_bytes(48, 4, 4, 1) > _BUDGET:
+    _KERNEL_SHAPES.append((48, 4))
+_KERNEL_DEFECTS = ["nan", "huge", "tiny", "text", "index", "twice", "ragged", "gram-nan",
+                   "no-gram", "dim", "not-json"]
+
+
+def _row_values(key, kind, lower) -> list:
+    """Values for one schema row: of its own kind first (small ones from just
+    below its lower bound up, so that sizes stay small or past what the
+    guards admit), then values past every limit or of another kind."""
+    if kind is int:
+        own = list(range(lower[0] - 1 if lower else -1, 7)) + [2.5, "3"]
+    elif kind == list[int]:
+        own = [[], [2, 3, 4]] + [[v] for v in _row_values(key, int, lower)]
+    elif kind is float:
+        own = _FLOATS
+    elif kind is bool:
+        own = [True, False]
+    else:
+        own = [_KERNEL_FILE, _MISSING_FILE] if key == "kernel" else _METRICS
+    return own + _PAST_LIMITS
+
+
+def _kernel_text(dim, order, entries, correlated=False, defect=None) -> str:
+    """Kernel file text: entries [[index, value], ...] of a d^q array, the
+    identity or a correlated Gram matrix, and at most one defect."""
+    entries = [list(entry) for entry in entries]
+    gram = (0.5 * np.eye(dim) + 0.5 if correlated else np.eye(dim)).tolist()
+    obj = {"dim": dim, "order": order, "entries": entries, "gram": gram}
+    values = {"nan": math.nan, "huge": 1e308, "tiny": 1e-300, "text": "x"}
+    if defect in values:
+        entries[0][1] = values[defect]
+    elif defect == "index":
+        entries[0][0] = [dim] * order  # out of range
+    elif defect == "twice":
+        entries.append(entries[0])
+    elif defect == "ragged":
+        gram[-1].pop()
+    elif defect == "gram-nan":
+        gram[0][0] = math.nan
+    elif defect == "no-gram":
+        del obj["gram"]
+    elif defect == "dim":
+        obj["dim"] = 10**400
+    elif defect == "not-json":
+        return "{not json"
+    return json.dumps(obj)
+
+
+_SMALL_KERNEL = _kernel_text(2, 2, [[[0, 0], 0.5], [[0, 1], -0.25]])
+
+
+def _config_text(config) -> str:
+    """config as JSON text (NaN as NaN), with _HUGE written out as 5000 nines."""
+    return json.dumps(config).replace(json.dumps(_HUGE), "9" * 5000)
+
+
+def _resolve(value, paths: dict):
+    """value with the kernel file placeholders replaced by their paths."""
+    if isinstance(value, list):
+        return [_resolve(v, paths) for v in value]
+    return paths.get(value, value) if isinstance(value, str) else value
+
+
+def _assert_exits_cleanly(config, kernel_text: str, extra=()) -> int:
+    """main's exit code on config in a fresh directory, with kernel_text as
+    its kernel file, asserted to be 0, 2, 3 or 4 with no traceback and no
+    file written after a non-zero exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "kernel.json").write_text(kernel_text)
+        paths = {_KERNEL_FILE: str(tmp / "kernel.json"), _MISSING_FILE: str(tmp / "missing.json")}
+        if isinstance(config["parameters"], dict):
+            config = dict(config, parameters={k: _resolve(v, paths)
+                                              for k, v in config["parameters"].items()})
+        (tmp / "config.json").write_text(_config_text(config))
+        out, err = tmp / "out", io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", str(tmp / "config.json"), "--out", str(out), *extra])
+        case = f"{config} {kernel_text[:200]} {extra}: exit {code}, {err.getvalue()}"
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PRECONDITION, EXIT_IO), case
+        assert "Traceback" not in err.getvalue(), case
+        assert code == EXIT_OK or not out.exists() or list(out.iterdir()) == [], case
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_row_at_and_past_its_limits_exits_cleanly(command):
+    # a config that runs with one row left out or set to each of its
+    # _row_values, and for the kernel commands each kernel defect and shape
+    schema = cli._COMMANDS[command][2]
+    assert _assert_exits_cleanly({"command": command, "parameters": _RUNS[command]},
+                                 _SMALL_KERNEL) == EXIT_OK
+    cases = [({k: v for k, v in _RUNS[command].items() if k != key}, _SMALL_KERNEL)
+             for key in schema]
+    cases += [(dict(_RUNS[command], **{key: value}), _SMALL_KERNEL)
+              for key, (kind, _, *lower) in schema.items()
+              for value in _row_values(key, kind, lower)]
+    if "kernel" in schema:
+        cases += [(_RUNS[command], _kernel_text(2, 2, [[[0, 1], 0.5]], defect=defect))
+                  for defect in _KERNEL_DEFECTS]
+        cases += [(_RUNS[command], _kernel_text(dim, order, [[[dim - 1] * order, 0.5]], True))
+                  for dim, order in _KERNEL_SHAPES]
+    for params, kernel_text in cases:
+        _assert_exits_cleanly({"command": command, "parameters": params}, kernel_text)
+
+
+@pytest.mark.parametrize("command, parameters, kernel", [
+    ("simulate", {"H": 0.6, "q": 10**30, "n": 3, "count": 200}, None),
+    ("gamma", {"kernel": "K", "nu": 1e300}, _KERNEL_OBJ),
+    ("gamma", {"kernel": "K", "nu": 1e-300}, _KERNEL_OBJ),
+    ("pearson", {"alpha": 0, "beta": 1e-300, "gamma": 1, "a": "-inf", "b": "inf"}, None),
+    ("pearson", {"alpha": 1, "beta": 0, "gamma": 0, "a": "-inf", "b": 1e-300}, None),
+    ("bound", {"kernel": "K"}, dict(_KERNEL_OBJ, dim=10**400)),
+], ids=["simulate-q-1e30", "gamma-nu-1e300", "gamma-nu-1e-300", "pearson-beta-1e-300",
+        "pearson-tau-0-at-0", "kernel-dim-1e400"])
+def test_configs_that_raised_past_the_guards_exit_3(tmp_path, capsys, command, parameters,
+                                                    kernel):
+    # each exited 1 with a traceback: an OverflowError or ZeroDivisionError
+    # in sigma's q!, 2/nu^2, the closed-form Pearson weight or the kernel reader
+    if kernel is not None:
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(kernel))
+        parameters = dict(parameters, kernel=str(path))
+    code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
+    assert code == EXIT_PRECONDITION
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _one_in(n: int):
+    """True one time in n; hypothesis draws and shrinks toward False."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _configs(draw):
+    """(config, kernel file text, extra argv): a config that runs with each
+    row kept, drawn from its _row_values or left out; at times an unknown
+    parameter, a malformed config or a --seed; a kernel file of a drawn
+    shape, entries, Gram matrix and defect."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    params = dict(_RUNS[command])
+    for key, (kind, default, *lower) in cli._COMMANDS[command][2].items():
+        change = draw(st.sampled_from(["keep", "keep", "draw", "omit"]))
+        if change == "draw":
+            params[key] = draw(st.sampled_from(_row_values(key, kind, lower)))
+        elif change == "omit":
+            del params[key]
+    if draw(_one_in(10)):
+        params[draw(st.sampled_from(["bogus", "N", "Hurst"]))] = 1
+    if draw(_one_in(30)):
+        params = draw(st.sampled_from([[], "x", None]))
+    config = {"command": draw(st.sampled_from([command] * 30 + ["bogus", 7])),
+              "parameters": params}
+    extra = draw(st.sampled_from([[]] * 6 + [["--seed", "3"], ["--seed", "-1"]]))
+    dim, order = draw(st.sampled_from(_KERNEL_SHAPES))
+    index = st.lists(st.integers(0, dim - 1), min_size=order, max_size=order)
+    entries = draw(st.lists(st.tuples(index, st.sampled_from([0.5, -1.0, 0.25])),
+                            min_size=1, max_size=3))
+    defect = draw(st.sampled_from([None] * len(_KERNEL_DEFECTS) + _KERNEL_DEFECTS))
+    return config, _kernel_text(dim, order, entries, draw(st.booleans()), defect), extra
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_configs())
+def test_fuzzed_configs_exit_cleanly_and_write_nothing_on_failure(drawn):
+    _assert_exits_cleanly(*drawn)

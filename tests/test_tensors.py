@@ -101,6 +101,32 @@ def test_contract_zero_is_tensor_product(plane):
     assert np.array_equal(out, np.outer(E1, E2))
 
 
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (1, 4), (0, 2), (2, 0), (0, 0)])
+def test_contract_zero_is_the_outer_product_entry_for_entry(p, q):
+    # one tensordot pairing no axes, on a non-identity Gram space: the Gram
+    # metric enters no r = 0 entry
+    rng = np.random.default_rng(10 * p + q)
+    space = random_gram(4, rng)
+    assert not space.is_identity
+    f, g = random_kernel(space, p, rng), random_kernel(space, q, rng)
+    got, want = contract(f, g, 0), np.multiply.outer(f.to_dense(), g.to_dense())
+    assert np.shape(got) == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_contract_zero_matches_the_outer_product_on_sparse_kernels():
+    # a zero entry times a negative one is -0.0 in np.multiply.outer and may
+    # be +0.0 in the tensordot: equal values, and equal bytes on every
+    # nonzero product
+    space = GramSpace.standard(3)
+    f = SymKernel(space, 2, {(0, 0): 1.5, (1, 2): -0.25})
+    g = SymKernel(space, 1, {(0,): -2.0, (2,): 0.5})
+    got, want = contract(f, g, 0), np.multiply.outer(f.to_dense(), g.to_dense())
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
 def test_contract_full_is_inner(plane):
     f = tensor_power(plane, E1, 2)
     assert contract(f, f, 2) == pytest.approx(1.0)

@@ -1,5 +1,8 @@
 """The exponent-array product of the Wick oracle, pinned bit for bit."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,45 @@ def test_exact_moment_is_pinned_bit_for_bit():
     for q, moments in PINNED.items():
         F = ChaosVector.single(random_kernel(space, q, rng))
         assert {s: exact_moment(F, s) for s in moments} == moments
+
+
+@pytest.mark.parametrize("c", [2.0, -1.5])
+def test_power_expectation_of_a_constant_in_zero_variables(c):
+    for s in range(6):
+        want = wick.poly_gaussian_expectation(wick.poly_pow({(): c}, s))
+        assert wick.poly_power_expectation({(): c}, s) == want == c**s
+        assert wick.poly_power_expectation(wick.poly_const(0, c), s) == want
+    assert [wick.poly_power_expectation({}, s) for s in range(1, 6)] == [0.0] * 5
+
+
+def _rational_power_expectation(p, s):
+    """E[p(X)^s] in exact rational arithmetic: the float coefficients of p
+    as Fractions, p^s by dict convolution, and each monomial moment the
+    exact integer prod_i (k_i - 1)!!."""
+    coeffs = {mono: Fraction(c) for mono, c in p.items()}
+    power = {(0,) * len(next(iter(p))): Fraction(1)}
+    for _ in range(s):
+        out = {}
+        for m1, c1 in power.items():
+            for m2, c2 in coeffs.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        power = out
+    total = Fraction(0)
+    for mono, c in power.items():
+        if all(k % 2 == 0 for k in mono):
+            total += c * math.prod(math.prod(range(k - 1, 0, -2)) for k in mono)
+    return total
+
+
+@pytest.mark.parametrize("q, s, d", [(2, 8, 2), (4, 4, 2), (3, 5, 3), (3, 4, 3)])
+def test_exact_moment_matches_rational_arithmetic_at_the_degree_guard(q, s, d):
+    rng = np.random.default_rng(100 * q + 10 * s + d)
+    space = random_gram(d, rng)
+    assert not space.is_identity
+    F = ChaosVector.single(random_kernel(space, q, rng))
+    got, want = exact_moment(F, s), _rational_power_expectation(F.to_polynomial(), s)
+    if q * s % 2:
+        assert got == want == 0
+    else:
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * abs(want)
