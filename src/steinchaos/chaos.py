@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -55,12 +56,12 @@ __all__ = [
 ]
 
 # E[F^s] pairs the monomials of F^a with those of F^b (a = floor(s/2),
-# b = s - a) in one Gaussian moment matrix.  DEGREE_GUARD caps the degree
-# deg * s; the term guard caps the matrix entries C(d + a deg, d) *
-# C(d + b deg, d), which also bound the last convolution forming F^b.  At
-# 1e7 it admits d = 6, deg = 4, s = 4 (9.0e6 entries, ~0.3 s) and refuses
-# d = 7 (4.1e7).
-DEGREE_GUARD = 16
+# b = s - a) in one Gaussian moment matrix.  The term guard caps the matrix
+# entries C(d + a deg, d) * C(d + b deg, d), which also bound the last
+# convolution forming F^b.  At 1e7 it admits d = 6, deg = 4, s = 4 (9.0e6
+# entries, ~0.3 s) and refuses d = 7 (4.1e7).  The degree needs no cap of its
+# own: what a float cannot hold (F^s of a large norm, or (k - 1)!! from
+# k = 302 on) makes the value inf or nan, which is refused.
 WICK_TERM_GUARD = 10_000_000
 
 
@@ -69,7 +70,7 @@ class ChaosError(Exception):
 
 
 class ComplexityError(ChaosError):
-    """Raised when the Wick oracle would exceed its degree or term guard."""
+    """Raised when the Wick oracle would exceed its term guard or the float range."""
 
 
 def _monic_hermite_values(q: int, x: np.ndarray) -> np.ndarray:
@@ -234,20 +235,22 @@ def exact_moment(F: ChaosVector, s: int) -> float:
         raise ChaosError(f"moment order must be >= 0, got {s}")
     if s == 0:
         return 1.0
-    degree = F.max_order
-    if degree * s > DEGREE_GUARD:
-        raise ComplexityError(
-            f"degree {degree} * power {s} exceeds the Wick guard {DEGREE_GUARD}"
-        )
-    # F^k has at most C(d + k deg, d) monomials
-    d, a = F.space.dim, s // 2
+    # F^k has at most C(d + k deg, d) monomials.  The messages format s and
+    # the count as Decimals: a float overflows past 1e308, and str() refuses
+    # ints of more than 4300 digits.
+    d, a, degree = F.space.dim, s // 2, F.max_order
     entries = math.comb(d + a * degree, d) * math.comb(d + (s - a) * degree, d)
     if entries > WICK_TERM_GUARD:
         raise ComplexityError(
-            f"E[F^{s}] at dimension {d}, degree {degree} needs ~{entries:.3g} "
-            f"moment-matrix entries, over the Wick guard {WICK_TERM_GUARD:.0e}"
+            f"E[F^s] at s = {Decimal(s):.3g}, dimension {d}, degree {degree} needs "
+            f"~{Decimal(entries):.3g} moment-matrix entries, over the Wick guard "
+            f"{WICK_TERM_GUARD:.0e}"
         )
-    return wick.poly_power_expectation(F.to_polynomial(), s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = wick.poly_power_expectation(F.to_polynomial(), s)
+    if not math.isfinite(value):
+        raise ComplexityError(f"E[F^s] at s = {Decimal(s):.3g} is {value}: past the float range")
+    return value
 
 
 def _expand(

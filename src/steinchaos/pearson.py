@@ -122,9 +122,29 @@ class PearsonSpec:
     def __post_init__(self):
         if not self.a < 0.0 < self.b:
             raise PearsonError(f"support must satisfy a < 0 < b, got ({self.a}, {self.b})")
-        vals = self.quadratic(np.append(_interior_grid(self.a, self.b, 257), 0.0))  # 0 in (a, b)
-        if np.any(vals <= 0.0):
+        if not self._positive_inside():
             raise SupportError("tau must be strictly positive inside (a, b)")
+
+    def _positive_inside(self) -> bool:
+        """tau > 0 on (a, b), exactly for a quadratic: positive at 0, not
+        below -_ENDPOINT_TOL * scale (check_explosion's tolerance) at a finite
+        end, with a positive leading term toward an infinite end, and positive
+        at the vertex of a convex tau inside (a, b).  Written so that a NaN
+        coefficient fails."""
+        al, be = self.alpha, self.beta
+        if not self.quadratic(0.0) > 0.0:
+            return False
+        for end, toward in ((self.a, -1.0), (self.b, 1.0)):
+            if math.isfinite(end):
+                if not self.quadratic(end) >= -_ENDPOINT_TOL * self._scale():
+                    return False
+            elif not (al > 0.0 or al == 0.0 and toward * be >= 0.0):
+                return False
+        vertex = -be / (2.0 * al) if al > 0.0 else math.nan
+        return not self.a < vertex < self.b or bool(self.quadratic(vertex) > 0.0)
+
+    def _scale(self) -> float:
+        return max(abs(self.alpha), abs(self.beta), abs(self.gamma), 1.0)
 
     def quadratic(self, x):
         """The raw quadratic, without the support clamp."""
@@ -168,10 +188,9 @@ class PearsonSpec:
 
     def check_explosion(self) -> None:
         """Uniqueness conditions: tau must vanish at every finite endpoint."""
-        scale = max(abs(self.alpha), abs(self.beta), abs(self.gamma), 1.0)
         for endpoint in (self.a, self.b):
             if math.isfinite(endpoint):
-                if abs(self.quadratic(endpoint)) > _ENDPOINT_TOL * scale:
+                if abs(self.quadratic(endpoint)) > _ENDPOINT_TOL * self._scale():
                     raise ExplosionError(
                         f"tau({endpoint:g}) = {self.quadratic(endpoint):g} != 0: "
                         "the divergence conditions fail, the density is not unique"

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,9 +192,26 @@ def test_exact_moment_examples(plane):
 
 
 def test_exact_moment_guard(plane):
+    # q * s = 18 has no cap of its own: E[(x^2 - 1)^9] is the binomial sum
+    # of the exact Gaussian moments E[x^2k] = (2k - 1)!!
     F = single(tensor_power(plane, E1, 2))
-    with pytest.raises(ComplexityError):
-        exact_moment(F, 9)
+    want = sum(math.comb(9, k) * (-1) ** (9 - k) * math.prod(range(2 * k - 1, 0, -2))
+               for k in range(10))
+    assert exact_moment(F, 9) == want
+
+
+def test_exact_moment_refuses_what_a_float_cannot_hold(plane):
+    # a large norm overflows the value; a huge power reaches the entry guard,
+    # whose message must still format s and a count of ~1e20000
+    F = single(random_kernel(plane, 2, np.random.default_rng(5)))
+    cases = [(F * 1e40, 8, "float range"), (F * 1e80, 4, "float range"),
+             (F * 1e200, 2, "float range"), (F, 10**200, "moment-matrix entries"),
+             (F, 10**5000, "moment-matrix entries")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for G, s, reason in cases:
+            with pytest.raises(ComplexityError, match=reason):
+                exact_moment(G, s)
 
 
 def test_exact_moment_guard_counts_dimension():

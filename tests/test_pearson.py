@@ -17,7 +17,7 @@ from steinchaos._quadpack import (
     qag,
     tail_step,
 )
-from steinchaos.cli import main
+from steinchaos.cli import EXIT_PRECONDITION, main
 from steinchaos.pearson import (
     _QUAD_OPTS,
     CenteringError,
@@ -980,3 +980,24 @@ def test_substituted_panels_never_call_the_weight_at_the_end():
     assert values[0] == 0.0
     substituted = lambda t: 2.0 * t * math.cos(a + t * t) * weight(np.array([a + t * t]))[0]  # noqa: E731
     assert values[1] == pytest.approx(_quad_rel(substituted, 0.0, math.sqrt(1e-3)), rel=1e-12)
+
+
+# each built when tau > 0 was checked on 257 points of (a, b), an infinite
+# end cut at -12 or 12: a linear tau negative below x = -100, a concave tau
+# negative beyond |x| = 31.6, and a convex tau with a dip of -1e-6 at x = 5
+TAU_NEGATIVE_INSIDE = [(0.0, 0.01, 1.0, -math.inf, math.inf),
+                       (-0.001, 0.0, 1.0, -1.0, math.inf),
+                       (1.0, -10.0, 24.999999, -1.0, 10.0)]
+
+
+@pytest.mark.parametrize("coeffs", TAU_NEGATIVE_INSIDE, ids=["linear", "concave", "convex-dip"])
+def test_spec_refuses_tau_negative_between_the_old_samples(coeffs, tmp_path, capsys):
+    with pytest.raises(SupportError, match="strictly positive inside"):
+        PearsonSpec(*coeffs)
+    parameters = {key: value if math.isfinite(value) else str(value)
+                  for key, value in zip(("alpha", "beta", "gamma", "a", "b"), coeffs)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "pearson", "parameters": parameters}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "tau must be strictly positive inside (a, b)" in err and "Traceback" not in err

@@ -74,7 +74,8 @@ def test_merge_of_an_underflowed_product_is_empty_and_composes():
 
 
 # E[F^s] of the parent commit's np.unique merge, on one seeded non-identity
-# Gram space at d = 4; q = 3 at s = 6 and q = 4 at s >= 5 are over DEGREE_GUARD
+# Gram space at d = 4, at the powers the oracle admitted before it dropped
+# its q * s <= 16 cap
 PINNED = {
     2: {3: 5.5083727277193635, 4: 40.427205755446494, 5: 300.0265048366715,
         6: 2912.016448651922},
@@ -132,3 +133,9 @@ def test_exact_moment_matches_rational_arithmetic_at_the_degree_guard(q, s, d):
         assert got == want == 0
     else:
         assert abs(Fraction(got) - want) <= Fraction(1, 10**13) * abs(want)
+
+
+@pytest.mark.parametrize("q, s, d", [(3, 6, 4), (4, 6, 3), (6, 4, 3), (2, 60, 1)])
+def test_exact_moment_matches_rational_arithmetic_past_the_old_degree_cap(q, s, d):
+    # degrees 18 to 120: only the entry guard and the float range limit the oracle
+    test_exact_moment_matches_rational_arithmetic_at_the_degree_guard(q, s, d)
