@@ -70,9 +70,12 @@ def _entry_sum(c: np.ndarray) -> float:
 
 def _trace_ops(n: int) -> tuple[int, int]:
     """Ops of one _four_cycle (the n^2 entries it walks) and of one
-    _complete_graph (n lags of six rffts of length L, ~15 L log2(L) each)."""
+    _complete_graph: n lags, each a fixed 100,000 ops of numpy call overhead
+    plus six rffts of length L, ~15 L log2(L).  Measured on a 2-core Xeon VM,
+    a lag costs a flat ~25-31 us up to n = 64 and the FFT term ~0.28-0.31 ns
+    an op from n = 512 on, so 100,000 ops is that flat cost in FFT ops."""
     size = _fft_length(n)
-    return n**2, n * 15 * (size.bit_length() - 1) * size
+    return n**2, n * (100_000 + 15 * (size.bit_length() - 1) * size)
 
 
 def _walk_rows(n: int) -> int:

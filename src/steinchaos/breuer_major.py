@@ -12,10 +12,12 @@ n^{-2H} rho_H(k - l) and rho_H is the fGn autocovariance
 
 We compute the *exact* squared quantity E[(1 - q^{-1}||DZ_n||^2)^2] (the
 equality version of the single-chaos Gaussian bound), not the chained proof
-estimates.  With the symmetric Toeplitz P_x = rho^x (elementwise), the
-variance mismatch is the entry sum of P_q and every contraction norm sums
-four-cycle traces and complete-graph sums of the P_x; steinchaos._toeplitz
-computes them for every q, under an operation budget, with no n x n
+estimates.  With the symmetric Toeplitz P_x = rho^x (elementwise), it is
+computed in its own scale S n, S = sum_t rho_H(t)^q = q! sigma^2: E[Z_n^2]
+is the entry sum of P_q over S n, and each contraction term a sum of
+four-cycle traces and complete-graph sums of the P_x over (S n)^2.  No q!
+enters; the one limit, q <= 170, is sigma's q!.  steinchaos._toeplitz
+computes the sums for every q, under an operation budget, with no n x n
 matrix.  The explicit kernel bm_kernel, fed to the generic tensor bounds,
 is the deliberate independent oracle for these formulas.  No scipy here:
 sigma's tail takes its Hurwitz zeta values from an Euler-Maclaurin sum
@@ -33,7 +35,8 @@ import numpy as np
 
 from ._toeplitz import (_complete_graph, _entry_sum, _four_cycle, _toeplitz,
                         _trace_ops)
-from .bounds import BoundReport, _assemble, _metric_constant, _pair_coeff
+from .bounds import BoundReport, _assemble, _metric_constant
+from .chaos import MAX_FACTORIAL_ORDER
 from .tensors import GramSpace, SymKernel
 
 __all__ = [
@@ -86,9 +89,16 @@ class BmInstance:
     def __post_init__(self):
         if self.q < 2:
             raise BreuerMajorError(f"Hermite order must be >= 2, got {self.q}")
+        _check_order(self.q)
         if self.n < 1:
             raise BreuerMajorError(f"grid size must be >= 1, got {self.n}")
         _check_hurst(self.H, self.q)
+
+
+def _check_order(q: int) -> None:
+    """q! must fit in a float: sigma, the chaos scale and hermite divide by it."""
+    if q > MAX_FACTORIAL_ORDER:
+        raise BreuerMajorError(f"Hermite order must be <= {MAX_FACTORIAL_ORDER}: q! must fit in a float")
 
 
 def _check_hurst(H: float, q: int | None = None) -> None:
@@ -169,20 +179,21 @@ def sigma(H: float, q: int) -> float:
     """
     if q < 1:
         raise BreuerMajorError(f"Hermite order must be >= 1, got {q}")
+    _check_order(q)
     _check_hurst(H, q)
     if q == 1:
         raise BreuerMajorError(f"sum_t rho_H(t) = 0 for H = {H} < 1/2, so sigma(H, 1) = 0")
-    return _sigma(H, q)
+    return math.sqrt(_power_sum(H, q) / math.factorial(q))
 
 
 @lru_cache(maxsize=16)
-def _sigma(H: float, q: int) -> float:
-    """sigma for a validated (H, q), kept for reuse: every row of a table and
-    the sampler of a simulate run ask for the same value.  A run uses a few
-    (H, q) pairs; a sweep over a larger grid recomputes as it goes."""
+def _power_sum(H: float, q: int) -> float:
+    """S = sum_{t in Z} rho_H(t)^q = q! sigma^2 for a validated (H, q), kept
+    for reuse: every row of a table and the sampler of a simulate run ask
+    for the same value.  A run uses a few (H, q) pairs; a sweep over a
+    larger grid recomputes as it goes."""
     direct = float(np.sum(rho_values(H, SIGMA_DIRECT_TERMS)[1:] ** q))
-    total = 1.0 + 2.0 * (direct + _rho_tail(H, q, SIGMA_DIRECT_TERMS))
-    return math.sqrt(total / math.factorial(q))
+    return 1.0 + 2.0 * (direct + _rho_tail(H, q, SIGMA_DIRECT_TERMS))
 
 
 def bm_chaos_scale(inst: BmInstance) -> float:
@@ -206,16 +217,10 @@ def bm_kernel(inst: BmInstance) -> SymKernel:
     return SymKernel(space, inst.q, coeffs)
 
 
-def _bm_second_moment(inst: BmInstance, sig: float) -> float:
-    """E[Z_n^2] = (1/(q! sigma^2 n)) sum_{|t|<n} (n - |t|) rho_H(t)^q."""
-    total = _entry_sum(rho_values(inst.H, inst.n - 1) ** inst.q)
-    return total / (math.factorial(inst.q) * sig**2 * inst.n)
-
-
 def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
     """Refuse instances whose contraction sums exceed op_budget.
 
-    The estimate counts what _contraction_norms runs: the q // 2 distinct
+    The estimate counts what _contraction_terms runs: the q // 2 distinct
     four-cycle sums and the (q-1)(q-2)/2 complete-graph sums, each at the
     op count _trace_ops gives.  Returns the estimate.  The message formats
     both ints as Decimals: a float overflows past 1e308, and str() refuses
@@ -229,22 +234,20 @@ def _check_op_budget(inst: BmInstance, op_budget: int) -> int:
     return est_ops
 
 
-def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[float]:
-    """||f ~x_r f||^2 for r = 1..q-1 by stationary four-index sums.
+def _contraction_terms(inst: BmInstance, S: float) -> list[float]:
+    """binom(q-1, r-1)^2 T_r / (S n)^2 for r = 1..q-1: the contraction terms
+    of the squared total, with S = _power_sum(H, q) and m = q - r in
 
-    With P_x[k, l] = rho_H(k - l)^x,
+        T_r = sum_{a=0}^{m} binom(m, a)^2
+              sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_{m-a}[k,j] P_{m-a}[l,i] P_a[l,j],
 
-        ||f ~x_r f||^2 = (q!^{-4} sigma^{-4} n^{-2}) binom(2m, m)^{-1}
-            sum_{a=0}^{m} binom(m, a)^2
-            sum_{klij} P_r[k,l] P_r[i,j] P_a[k,i] P_{m-a}[k,j]
-                       P_{m-a}[l,i] P_a[l,j],
-
-    where m = q - r.  The a = 0 and a = m sums are both the four-cycle
-    tr((P_r P_m)^2), the same for r and q - r (_four_cycle); each of the
-    m - 1 sums with 0 < a < m is a complete graph on the four indices
-    (_complete_graph).
+    P_x[k, l] = rho_H(k - l)^x.  It is _pair_coeff(q, q, r) ||f ~x_r f||^2,
+    with ||f ~x_r f||^2 = T_r / (binom(2m, m) q!^2 S^2 n^2), since
+    q^2 (r-1)!^2 m!^2 / q!^2 = 1 / binom(q-1, r-1)^2.  The a = 0 and a = m
+    sums are both the four-cycle tr((P_r P_m)^2), the same for r and q - r
+    (_four_cycle); each of the m - 1 sums with 0 < a < m is a complete graph
+    on the four indices (_complete_graph).  The caller checks the op budget.
     """
-    _check_op_budget(inst, op_budget)
     q, n = inst.q, inst.n
     base = rho_values(inst.H, n - 1)
     powers = {x: base**x for x in range(1, q)}
@@ -256,24 +259,18 @@ def _contraction_norms(inst: BmInstance, sig: float, op_budget: int) -> list[flo
         for a in range(1, m):
             four_sum = _complete_graph(n, powers[r], powers[a], powers[m - a])
             acc += math.comb(m, a) ** 2 * four_sum
-        acc /= math.comb(2 * m, m)
-        out.append(acc / (math.factorial(q) ** 4 * sig**4 * n**2))
+        out.append(math.comb(q - 1, r - 1) ** 2 * acc / (S * n) ** 2)
     return out
 
 
-def bm_bound_exact(
-    inst: BmInstance, *, op_budget: int = DEFAULT_OP_BUDGET
-) -> BoundReport:
+def bm_bound_exact(inst: BmInstance, *, op_budget: int = DEFAULT_OP_BUDGET) -> BoundReport:
     """Exact E[(1 - q^{-1}||DZ_n||^2)^2] and the Kolmogorov-distance bound."""
-    _check_op_budget(inst, op_budget)  # before sigma, whose q! overflows a float at large q
-    sig = sigma(inst.H, inst.q)
-    norms = _contraction_norms(inst, sig, op_budget)
-    variance = (1.0 - _bm_second_moment(inst, sig)) ** 2
-    terms = [
-        (r, _pair_coeff(inst.q, inst.q, r) * norms[r - 1])
-        for r in range(1, inst.q)
-    ]
-    return _assemble(*_metric_constant("kolmogorov"), variance, terms)
+    _check_op_budget(inst, op_budget)
+    S = _power_sum(inst.H, inst.q)
+    # E[Z_n^2] = (1/(S n)) sum_{|t|<n} (n - |t|) rho_H(t)^q
+    second_moment = _entry_sum(rho_values(inst.H, inst.n - 1) ** inst.q) / (S * inst.n)
+    terms = list(enumerate(_contraction_terms(inst, S), start=1))
+    return _assemble(*_metric_constant("kolmogorov"), (1.0 - second_moment) ** 2, terms)
 
 
 def bm_rate(H: float, q: int) -> tuple[float, str]:

@@ -63,6 +63,9 @@ __all__ = [
 # own: what a float cannot hold (F^s of a large norm, or (k - 1)!! from
 # k = 302 on) makes the value inf or nan, which is refused.
 WICK_TERM_GUARD = 10_000_000
+# The largest order q whose q! a float holds (170! ~ 7.3e306; 171! overflows):
+# hermite divides by q!, and so do the Breuer-Major sigma and chaos scale.
+MAX_FACTORIAL_ORDER = 170
 
 
 class ChaosError(Exception):
@@ -92,6 +95,8 @@ def hermite(q: int, x: float | np.ndarray) -> float | np.ndarray:
     """Hermite polynomial with the 1/q! normalization: H_2(x) = (x^2-1)/2."""
     if q < 0:
         raise ChaosError(f"Hermite order must be >= 0, got {q}")
+    if q > MAX_FACTORIAL_ORDER:
+        raise ChaosError(f"Hermite order must be <= {MAX_FACTORIAL_ORDER}: q! must fit in a float")
     vals = _monic_hermite_values(q, np.asarray(x, dtype=float))
     vals /= math.factorial(q)
     return float(vals) if np.ndim(x) == 0 else vals

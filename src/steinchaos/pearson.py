@@ -35,7 +35,7 @@ the same integrand values.  The exponent integral of a callable tau runs on
 the same port: I at a fixed ladder of anchors toward each end, once, then
 one panel from the anchor nearest each x on its side of the origin.
 Each panel is of one kind: plain (x = t), substituted at a finite end or
-a tail.  The first rule step of all panels of one call runs in numpy, 128
+a tail.  The first rule step of all panels of one call runs in numpy, 512
 panels of one kind per array operation, each kind through its own
 integrand; the panels it does not settle are bisected further, each
 bisection one vector call of the weight.  The solution is evaluated
@@ -742,16 +742,18 @@ class SteinSolution:
         x_arr = np.asarray(x, dtype=float)
         if not ((x_arr > self.a) & (x_arr < self.b)).all():
             raise PearsonError("u' is only defined inside the support")
-        out = self._u_prime_from_u(x_arr, self.u(x_arr))
+        out = (self._centered(x_arr) + x_arr * self.u(x_arr)) / self.density.tau(x_arr)
         return float(out) if x_arr.ndim == 0 else out
-
-    def _u_prime_from_u(self, xs: np.ndarray, u_vals):
-        """u' = (h - E h + x u)/tau at the interior points xs, given u there."""
-        return (self._centered(xs) + xs * u_vals) / self.density.tau(xs)
 
     def on_grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, u') on an increasing interior grid: u via cumulative panels,
-        u' from the equation at each grid point.
+        u' = (h - E h + x u)/tau from the equation at each grid point."""
+        xs = np.asarray(xs, dtype=float)
+        u_vals, h_vals = self._grid(xs)
+        return u_vals, (h_vals - self.expected_h + xs * u_vals) / self.density.tau(xs)
+
+    def _grid(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, h) on an increasing interior grid, h called once per point.
 
         Points at or below the origin accumulate the left integral outward
         from a; points above accumulate the right integral inward from b.
@@ -778,8 +780,7 @@ class SteinSolution:
         numerators = np.concatenate(
             [np.cumsum(parts[:nneg]), np.cumsum(-parts[nneg:][::-1])[::-1]]
         )
-        u_vals = numerators / (density.tau(xs) * density.pdf(xs))
-        return u_vals, self._u_prime_from_u(xs, u_vals)
+        return numerators / (density.tau(xs) * density.pdf(xs)), _each(self.h)(xs)
 
 
 def stein_solve(
@@ -802,8 +803,9 @@ class SteinBoundCheck(NamedTuple):
 def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCheck:
     """Grid suprema of |x u| and |tau u'| against the 6 sup|h| and K sup|h| bounds.
 
-    u comes from sol.on_grid (which evaluates tau), and tau u' is read from
-    the Stein equation, tau u' = h - E h + x u, not formed as tau times u'.
+    u and h come from one pass over the grid (SteinSolution._grid), and tau u'
+    is read from the Stein equation, tau u' = h - E h + x u, not formed as
+    tau times u'.
     K = 2 max{3, 1/|a|, 1/|b|} with 1/inf = 0; the supremum for the K check
     runs over the whole line, where outside the support the tail form
     u = (h - E h)/x gives x u = h - E h.
@@ -817,8 +819,7 @@ def stein_bound_check(sol: SteinSolution, grid_size: int = 1201) -> SteinBoundCh
     jumps = _sorted_unique(sol.discontinuities)
     jumps = jumps[(lo + eps < jumps) & (jumps < hi - eps)]
     inner = np.sort(np.concatenate([inner, jumps - 1e-9 * span, jumps + 1e-9 * span]))
-    u_vals = sol.on_grid(inner)[0]
-    h_vals = _each(sol.h)(inner)
+    u_vals, h_vals = sol._grid(inner)
     xu = inner * u_vals
     tau_du = h_vals - sol.expected_h + xu
     sup_xu = float(np.max(np.abs(xu)))

@@ -19,6 +19,8 @@ convolution and is kept as its test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Poly = dict  # exponent tuple -> coefficient
@@ -185,6 +187,16 @@ def _array_mul(
     return unique[keep], coefs[keep]
 
 
+def _float_power(c: float, s: int) -> float:
+    """c^s for an int s >= 1 of any size: inf past the float range and 0.0
+    below it, negative for c < 0 and odd s."""
+    try:
+        magnitude = abs(c) ** s
+    except OverflowError:  # |c| > 1 past the float range, or s past it
+        magnitude = math.inf if abs(c) > 1.0 else float(abs(c) == 1.0)
+    return -magnitude if c < 0 and s % 2 else magnitude
+
+
 def poly_power_expectation(p: Poly, s: int) -> float:
     """E[p(X)^s] for X a standard Gaussian vector.
 
@@ -192,7 +204,8 @@ def poly_power_expectation(p: Poly, s: int) -> float:
     p^a and Q of p^b of c_P c_Q mu(e_P + e_Q), where mu(e) = prod_i
     (e_i - 1)!! is 0 as soon as one exponent is odd.  The matrix of mu is
     built in row blocks of at most _BLOCK_ENTRIES entries, one variable at a
-    time, and contracted with both coefficient vectors.
+    time, and contracted with both coefficient vectors.  A constant p (its
+    one monomial has every exponent 0) gives c^s at once, for any s.
     """
     if s < 0:
         raise ValueError("polynomial power must be >= 0")
@@ -201,8 +214,8 @@ def poly_power_expectation(p: Poly, s: int) -> float:
     if not p:
         return 0.0
     nvars = len(next(iter(p)))
-    if not nvars:  # a constant c: E[c^s] = c^s
-        return float(p[()]) ** s
+    if len(p) == 1 and not any(next(iter(p))):  # a constant c: E[c^s] = c^s
+        return _float_power(next(iter(p.values())), s)
     exps = np.array(list(p), dtype=np.int64).reshape(len(p), nvars)
     coefs = np.fromiter(p.values(), dtype=float, count=len(p))
     a, b = s // 2, s - s // 2

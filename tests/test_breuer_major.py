@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from steinchaos.breuer_major import (
     rho_values,
     sigma,
     _check_op_budget,
-    _contraction_norms,
+    _contraction_terms,
     _hurwitz_zeta,
+    _power_sum,
 )
 from steinchaos._toeplitz import _complete_graph, _toeplitz, _toeplitz_product
-from steinchaos.bounds import gauss_bound_single
-from steinchaos.chaos import hermite
+from steinchaos.bounds import _pair_coeff, gauss_bound_single
+from steinchaos.chaos import ChaosError, hermite
 from steinchaos.simulate import sample_fbm_increments
 
 
@@ -187,16 +189,17 @@ def test_bm_resource_guard():
 
 def test_bm_resource_guard_counts_complete_graph_sums():
     # at q = 3 the r = 1, a = 1 sum is a complete graph on four indices,
-    # n lags of FFT convolutions: the guard counts 1,970,176 ops at n = 64
-    # and 92,416 at n = 16, either side of the 8 * 32^3 = 262,144 budget
+    # n lags of FFT convolutions at a fixed 100,000 ops a lag plus the FFTs:
+    # the guard counts 8,370,176 ops at n = 64 and 1,692,416 at n = 16,
+    # either side of a 2,000,000 budget
     with pytest.raises(ResourceGuardError):
-        bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=8 * 32**3)
-    bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=8 * 32**3)
+        bm_bound_exact(BmInstance(0.4, 3, 64), op_budget=2_000_000)
+    bm_bound_exact(BmInstance(0.4, 3, 16), op_budget=2_000_000)
 
 
 def test_bm_resource_guard_admits_what_runs_in_seconds():
-    # the FFT complete-graph sums make q = 3 at n = 256 about a 4e7-op
-    # instance (39,387,136 by the guard's count)
+    # the FFT complete-graph sums make q = 3 at n = 256 about a 6.5e7-op
+    # instance (64,987,136 by the guard's count)
     _check_op_budget(BmInstance(0.6, 3, 256), DEFAULT_OP_BUDGET)
     _check_op_budget(BmInstance(0.7, 2, 2**15), DEFAULT_OP_BUDGET)
 
@@ -212,7 +215,8 @@ def test_bm_resource_guard_covers_q2():
 def _dense_contraction_norms(inst: BmInstance) -> list[float]:
     """||f ~x_r f||^2 from dense n x n matrices of rho^x.
 
-    The deliberate oracle for _contraction_norms: four-cycle sums as
+    The deliberate oracle for _contraction_terms, each term over
+    _pair_coeff(q, q, r): four-cycle sums as
     tr((P_r P_m)^2) through one dense matrix product per r, complete-graph
     sums as six-operand einsum over the four grid indices, O(n^4).
     """
@@ -242,7 +246,8 @@ def test_bm_contraction_norms_match_dense_oracle():
                 continue
             for n in ns:
                 inst = BmInstance(H, q, n)
-                fast = _contraction_norms(inst, sigma(H, q), DEFAULT_OP_BUDGET)
+                terms = _contraction_terms(inst, _power_sum(H, q))
+                fast = [t / _pair_coeff(q, q, r) for r, t in enumerate(terms, start=1)]
                 dense = _dense_contraction_norms(inst)
                 assert fast == pytest.approx(dense, rel=1e-12, abs=0.0), (q, H, n)
 
@@ -271,7 +276,8 @@ def test_toeplitz_helpers_match_scipy_oracle(H):
 def test_bm_contraction_norms_iid_at_scale(q, n):
     # at H = 1/2 every P_x is the identity, so each four-index sum is n and
     # every ||f ~x_r f||^2 is 1 / (q!^2 n); the default budget admits both
-    fast = _contraction_norms(BmInstance(0.5, q, n), sigma(0.5, q), DEFAULT_OP_BUDGET)
+    terms = _contraction_terms(BmInstance(0.5, q, n), _power_sum(0.5, q))
+    fast = [t / _pair_coeff(q, q, r) for r, t in enumerate(terms, start=1)]
     expected = 1.0 / (math.factorial(q) ** 2 * n)
     assert fast == pytest.approx([expected] * (q - 1), rel=1e-12, abs=0.0)
 
@@ -311,7 +317,7 @@ def test_quadratic_variant_normalization():
 
 def test_sigma_sums_once_per_pair(monkeypatch):
     # a table row and the sampler ask for the same sigma; the sum runs once
-    breuer_major._sigma.cache_clear()
+    breuer_major._power_sum.cache_clear()
     calls = []
     real = breuer_major.rho_values
 
@@ -361,3 +367,35 @@ def test_sigma_matches_high_precision_reference(H, q):
     # the 1e-10 target of SIGMA_DIRECT_TERMS; at H >= 0.7 the cancellation
     # inside rho_H leaves sigma up to ~6e-11 off, below that ~2e-14
     assert sigma(H, q) == pytest.approx(float(SIGMA_REFERENCE[H, q]), rel=1e-10)
+
+
+def _he4_moment(k: int) -> int:
+    """E[He_k(xi)^4] = sum_r (r! binom(k, r)^2)^2 (2k - 2r)!, exactly: He_k^2
+    = sum_r r! binom(k, r)^2 He_{2k-2r}, and E[He_j^2] = j!."""
+    return sum((math.factorial(r) * math.comb(k, r) ** 2) ** 2 * math.factorial(2 * k - 2 * r)
+               for r in range(k + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 10, 58, 170])
+def test_bm_bound_at_one_increment_matches_the_closed_form(q):
+    # Z_1 = He_q(xi) / sqrt(q! S) with S = q! sigma^2, so the squared total
+    # E[(1 - q^{-1}||DZ_1||^2)^2] is 1 - 2/S + q^2 E[He_{q-1}^4] / (q! S)^2;
+    # the factorials cancel in exact integers
+    H = 0.6
+    S = _power_sum(H, q)
+    ratio = float(Fraction(q * q * _he4_moment(q - 1), math.factorial(q) ** 2))
+    want = 1.0 - 2.0 / S + ratio / S**2
+    assert bm_bound_exact(BmInstance(H, q, 1)).squared_total == pytest.approx(want, rel=1e-13,
+                                                                               abs=0.0)
+
+
+def test_orders_past_170_are_refused_before_any_work():
+    # q! must fit in a float: 170! ~ 7.3e306, 171! overflows
+    assert math.isfinite(sigma(0.6, 170)) and math.isfinite(hermite(170, 0.5))
+    for q in (171, 10**30):
+        with pytest.raises(BreuerMajorError, match="170"):
+            BmInstance(0.6, q, 4)
+        with pytest.raises(BreuerMajorError, match="170"):
+            sigma(0.6, q)
+        with pytest.raises(ChaosError, match="170"):
+            hermite(q, 0.5)

@@ -214,6 +214,22 @@ def test_exact_moment_refuses_what_a_float_cannot_hold(plane):
                 exact_moment(G, s)
 
 
+@pytest.mark.parametrize("c", [0.5, -1.0, 2.0])
+def test_exact_moment_of_a_constant_is_its_power_at_any_order(c):
+    # E[c^s] = c^s at once, with the sign of c for odd s; past the float
+    # range a ComplexityError, never an OverflowError or an O(s) loop
+    F = ChaosVector.build(GramSpace.standard(2), c)
+    for s in (2, 3, 2000, 10**200, 10**5000):
+        started = time.perf_counter()
+        if abs(c) > 1.0 and s >= 2000:
+            with pytest.raises(ComplexityError, match="float range"):
+                exact_moment(F, s)
+        else:
+            want = c**s if s < 2000 else 0.0 if abs(c) < 1.0 else c ** (s % 2)
+            assert exact_moment(F, s) == want
+        assert time.perf_counter() - started < 0.01, s
+
+
 def test_exact_moment_guard_counts_dimension():
     # q * s = 16 passes the degree guard, but at d = 7 the moment matrix has
     # C(15, 7)^2 ~ 4.1e7 entries, above WICK_TERM_GUARD = 1e7

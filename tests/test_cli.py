@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from steinchaos import bounds, cli, simulate, tensors
+from steinchaos import breuer_major, bounds, cli, simulate, tensors
 from steinchaos._toeplitz import _trace_ops
 from steinchaos.breuer_major import DEFAULT_OP_BUDGET
 from steinchaos.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PRECONDITION, _normal_cdf, main
@@ -613,9 +613,13 @@ _KERNEL_DEFECTS = ["nan", "huge", "tiny", "text", "index", "twice", "ragged", "g
 def _row_values(key, kind, lower) -> list:
     """Values for one schema row: of its own kind first (small ones from just
     below its lower bound up, so that sizes stay small or past what the
-    guards admit), then values past every limit or of another kind."""
+    guards admit, and for q the orders either side of the op budget's limit
+    at n = 8 and of q! in a float, 170), then values past every limit or of
+    another kind."""
     if kind is int:
         own = list(range(lower[0] - 1 if lower else -1, 7)) + [2.5, "3"]
+        if key == "q":
+            own += [57, 58, 170, 171]
     elif kind == list[int]:
         own = [[], [2, 3, 4]] + [[v] for v in _row_values(key, int, lower)]
     elif kind is float:
@@ -731,6 +735,40 @@ def test_configs_that_raised_past_the_guards_exit_3(tmp_path, capsys, command, p
     code, out = run_cli(tmp_path, {"command": command, "parameters": parameters})
     assert code == EXIT_PRECONDITION
     assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+# q! must fit in a float: each order up to 170 that the op budget admits
+# runs, and from 171 on the order is refused before any work.  From q = 58
+# on, the bound used to overflow a float through q!^4 sigma^4 and exit 1.
+
+
+@pytest.mark.parametrize("config, csv", [
+    ({"command": "breuer-major", "parameters": {"H": 0.6, "q": 58, "ns": [4]}},
+     "breuer_major.csv"),
+    ({"command": "simulate", "parameters": {"H": 0.6, "q": 100, "n": 4, "count": 200, "seed": 1}},
+     "simulate.csv"),
+], ids=["breuer-major-q58", "simulate-q100"])
+def test_orders_the_op_budget_admits_run_up_to_170(tmp_path, capsys, config, csv):
+    code, out = run_cli(tmp_path, config)
+    assert code == EXIT_OK, capsys.readouterr().err
+    header, *rows = [line.split(",") for line in (out / csv).read_text().splitlines()]
+    assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0])
+
+
+@pytest.mark.parametrize("parameters", [
+    {"command": "breuer-major", "parameters": {"H": 0.6, "q": 171, "ns": [1]}},
+    {"command": "simulate", "parameters": {"H": 0.6, "q": 171, "n": 1, "count": 10}},
+], ids=["breuer-major", "simulate"])
+def test_orders_past_170_exit_3_before_any_work(tmp_path, capsys, monkeypatch, parameters):
+    calls = []
+    monkeypatch.setattr(cli, "sample_Zn", lambda *args: calls.append(args))
+    monkeypatch.setattr(breuer_major, "_power_sum", lambda *args: calls.append(args))
+    code, out = run_cli(tmp_path, parameters)
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "170" in err and "Traceback" not in err
+    assert calls == []
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import warnings
@@ -522,7 +523,8 @@ def _assert_check_matches_oracle(sol, grid_size, monkeypatch):
     _assert_close(sol.expected_h, expected_h)
     chk = stein_bound_check(sol, grid_size=grid_size)
     with monkeypatch.context() as patch:
-        patch.setattr(SteinSolution, "on_grid", _oracle_on_grid)
+        patch.setattr(SteinSolution, "_grid", lambda self, xs: (
+            _oracle_on_grid(self, xs)[0], np.array([self.h(x) for x in xs.tolist()])))
         patch.setattr(sol, "expected_h", expected_h)
         oracle = stein_bound_check(sol, grid_size=grid_size)
     for field in ("pass6", "passK"):
@@ -919,6 +921,26 @@ def test_u_prime_and_on_grid_refuse_nan():
     for xs in ([-0.5, math.nan], [math.nan, 0.5], [math.nan]):
         with pytest.raises(PearsonError):
             sol.on_grid(np.array(xs))
+
+
+@pytest.mark.parametrize("spec", [gaussian_spec(), gamma_spec(1.0), uniform_spec()],
+                         ids=["normal", "gamma1", "uniform"])
+def test_stein_bound_check_calls_h_once_per_grid_point(spec):
+    # u and h come from one pass over the grid; h is not called there again
+    # to form u'
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return math.cos(x)
+
+    sol = stein_solve(spec, h)
+    lo, hi = sol.density.effective_range()
+    grid = np.linspace(lo + 1e-5 * (hi - lo), hi - 1e-5 * (hi - lo), 101).tolist()
+    calls.clear()
+    stein_bound_check(sol, grid_size=101)
+    counts = collections.Counter(calls)
+    assert [counts[x] for x in grid] == [1] * len(grid)
 
 
 @pytest.mark.parametrize("discontinuities", [(0.5, 0.5), (0.0, -0.0)], ids=["twice", "signed-zero"])
